@@ -4,6 +4,27 @@
 //! and `max` of skew populations (Section 4.1, experiments (A)). Quantiles
 //! use the standard linear-interpolation estimator (R type 7), which is
 //! well-defined for every population size ≥ 1.
+//!
+//! # Integer-domain ordering
+//!
+//! Skews are [`Duration`]s, whole picoseconds. [`Summary::from_durations`]
+//! orders them as `i64`s rather than as nanosecond `f64`s: by a counting
+//! sort over `[min, max]` when that span is under eight picoseconds per
+//! sample (every real skew population: spans of a few thousand to ~15k ps
+//! against 1k–750k samples), else by an unstable comparison sort, which is
+//! exact because equal integers are indistinguishable. The ascending integers are then
+//! mapped through [`Duration::ns`] and fed to the same quantile, mean and
+//! standard-deviation code as [`Summary::from_ns`].
+//!
+//! The result is bit-identical to `Summary::from_ns` over the mapped
+//! values. `ns()` is `ps as f64 / 1e3`: an `i64 → f64` conversion and a
+//! division by a positive constant, both correctly rounded and hence
+//! monotone non-decreasing, and never `-0.0` or NaN (a nonzero integer
+//! maps to a nonzero value, zero to `+0.0`). So mapping the integer order
+//! yields exactly the sequence a `total_cmp` sort of the mapped values
+//! yields — values that collide after rounding are equal bit patterns —
+//! and the sum and variance folds visit the same values in the same
+//! order. `from_ns` stays the `f64` entry point and the test oracle.
 
 use hex_des::Duration;
 use std::cmp::Ordering;
@@ -45,6 +66,52 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
+/// [`Summary::from_durations`] counting-sorts a sample whose picosecond
+/// span `max − min` is below this many buckets per sample, and
+/// comparison-sorts it otherwise. Around this ratio the two cost the same
+/// on 1k-sample runs; real skew populations sit far below it.
+const COUNTING_SPAN_PER_SAMPLE: u64 = 8;
+
+/// Whether `n` samples spanning `span` picoseconds take the counting
+/// sort (whose `u32` buckets then cannot overflow).
+fn counting_sort_applies(span: u64, n: usize) -> bool {
+    span < COUNTING_SPAN_PER_SAMPLE.saturating_mul(n as u64) && u32::try_from(n).is_ok()
+}
+
+/// A non-empty `values` in nanoseconds, ascending.
+fn sorted_ns(values: &[Duration]) -> Vec<f64> {
+    let n = values.len();
+    let lo = values
+        .iter()
+        .map(|d| d.ps())
+        .min()
+        .expect("non-empty sample");
+    let hi = values
+        .iter()
+        .map(|d| d.ps())
+        .max()
+        .expect("non-empty sample");
+    let span = hi.abs_diff(lo);
+    let mut sorted = Vec::with_capacity(n);
+    if counting_sort_applies(span, n) {
+        let mut counts = vec![0u32; span as usize + 1];
+        for d in values {
+            counts[d.ps().abs_diff(lo) as usize] += 1;
+        }
+        for (offset, &count) in counts.iter().enumerate() {
+            if count > 0 {
+                let ns = Duration::from_ps(lo + offset as i64).ns();
+                sorted.resize(sorted.len() + count as usize, ns);
+            }
+        }
+    } else {
+        let mut ps: Vec<i64> = values.iter().map(|d| d.ps()).collect();
+        ps.sort_unstable();
+        sorted.extend(ps.into_iter().map(|p| Duration::from_ps(p).ns()));
+    }
+    sorted
+}
+
 /// Five-point summary (+ mean, std, count) of a sample, in nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
@@ -73,24 +140,33 @@ impl Summary {
         }
         let mut sorted = values.to_vec();
         sorted.sort_by(total_f64);
+        Some(Summary::from_sorted(&sorted))
+    }
+
+    /// Summarize a sample of [`Duration`]s (converted to nanoseconds),
+    /// ordered in the integer domain (see the module docs). Bit-identical
+    /// to [`Summary::from_ns`] over the converted values.
+    pub fn from_durations(values: &[Duration]) -> Option<Summary> {
+        if values.is_empty() {
+            return None;
+        }
+        Some(Summary::from_sorted(&sorted_ns(values)))
+    }
+
+    /// The summary of a non-empty ascending sample.
+    fn from_sorted(sorted: &[f64]) -> Summary {
         let n = sorted.len();
         let avg = sorted.iter().sum::<f64>() / n as f64;
         let var = sorted.iter().map(|v| (v - avg) * (v - avg)).sum::<f64>() / n as f64;
-        Some(Summary {
+        Summary {
             min: sorted[0],
-            q05: quantile_sorted(&sorted, 0.05),
+            q05: quantile_sorted(sorted, 0.05),
             avg,
-            q95: quantile_sorted(&sorted, 0.95),
+            q95: quantile_sorted(sorted, 0.95),
             max: sorted[n - 1],
             std: var.sqrt(),
             n,
-        })
-    }
-
-    /// Summarize a sample of [`Duration`]s (converted to nanoseconds).
-    pub fn from_durations(values: &[Duration]) -> Option<Summary> {
-        let ns: Vec<f64> = values.iter().map(|d| d.ns()).collect();
-        Summary::from_ns(&ns)
+        }
     }
 
     /// The paper's intra-layer row: `avg | q95 | max`.
@@ -167,9 +243,90 @@ mod tests {
         assert!(s.inter_row().contains("0.395"));
     }
 
+    /// Every field's bit pattern (`n` last).
+    fn bits(s: &Summary) -> [u64; 7] {
+        let f = [s.min, s.q05, s.avg, s.q95, s.max, s.std].map(f64::to_bits);
+        [f[0], f[1], f[2], f[3], f[4], f[5], s.n as u64]
+    }
+
+    /// `from_durations` over picosecond samples is bit-identical to the
+    /// `f64` oracle `from_ns` over their nanosecond values; returns
+    /// whether the sample took the counting sort.
+    fn matches_oracle(ps: &[i64]) -> bool {
+        let ds: Vec<Duration> = ps.iter().map(|&p| Duration::from_ps(p)).collect();
+        let ns: Vec<f64> = ds.iter().map(|d| d.ns()).collect();
+        let got = Summary::from_durations(&ds).unwrap();
+        let want = Summary::from_ns(&ns).unwrap();
+        assert_eq!(bits(&got), bits(&want), "samples {ps:?}");
+        let (lo, hi) = (ps.iter().min().unwrap(), ps.iter().max().unwrap());
+        counting_sort_applies(hi.abs_diff(*lo), ps.len())
+    }
+
+    #[test]
+    fn integer_order_matches_oracle_at_the_extremes() {
+        assert!(!matches_oracle(&[
+            i64::MAX,
+            i64::MIN,
+            0,
+            -1,
+            1,
+            i64::MIN,
+            i64::MAX
+        ]));
+        assert!(matches_oracle(&[0]));
+        assert!(matches_oracle(&[-1, 0, 1, 0, -1]));
+        // The switch point: a span of 8 buckets per sample is the first
+        // to take the comparison sort.
+        assert!(matches_oracle(&[0, 15]));
+        assert!(!matches_oracle(&[0, 16]));
+    }
+
     proptest! {
         // Shared CI case budget: pin 32 cases (= compat/proptest DEFAULT_CASES).
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Narrow spans (below the switch point, any sign): counting sort.
+        #[test]
+        fn prop_counting_path_matches_oracle(base in -10_000_000i64..10_000_000,
+                                             offs in prop::collection::vec(any::<u32>(), 1..600)) {
+            let width = 8 * offs.len() as i64;
+            let ps: Vec<i64> = offs.iter().map(|&o| base + i64::from(o) % width).collect();
+            prop_assert!(matches_oracle(&ps));
+        }
+
+        /// Spans past the switch point, over the whole ±2^62 range.
+        #[test]
+        fn prop_wide_spans_match_oracle(raw in prop::collection::vec(any::<i64>(), 2..600)) {
+            let ps: Vec<i64> = raw.iter().map(|&r| r >> 1).collect();
+            prop_assert!(!matches_oracle(&ps));
+        }
+
+        /// Clusters near ±2^62 with spans past the switch point, where
+        /// distinct picosecond values round to the same `f64`.
+        #[test]
+        fn prop_colliding_values_near_2_62_match_oracle(
+            negative in any::<bool>(),
+            offs in prop::collection::vec(0i64..100_000, 2..600),
+        ) {
+            let edge = if negative { -(1i64 << 62) } else { 1i64 << 62 };
+            let mut ps: Vec<i64> = offs.iter().map(|&o| edge - o).collect();
+            ps.push(edge - 100_000);
+            ps.push(edge);
+            prop_assert!(!matches_oracle(&ps));
+        }
+
+        /// A single sample, anywhere in range.
+        #[test]
+        fn prop_single_sample_matches_oracle(p in any::<i64>()) {
+            prop_assert!(matches_oracle(&[p]));
+        }
+
+        /// All-equal samples (span 0).
+        #[test]
+        fn prop_constant_durations_match_oracle(p in any::<i64>(), n in 1usize..300) {
+            prop_assert!(matches_oracle(&vec![p; n]));
+        }
+
         /// min ≤ q05 ≤ avg-compatible ordering ≤ q95 ≤ max and quantiles are
         /// monotone in q.
         #[test]

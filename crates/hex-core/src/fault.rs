@@ -207,8 +207,11 @@ impl FaultScript {
 
     /// Append a transition, keeping the timeline stably sorted by time.
     pub fn push(&mut self, at: Time, event: FaultEvent) {
-        self.transitions.push(FaultTransition { at, event });
-        self.transitions.sort_by_key(|t| t.at); // stable: ties keep order
+        // After every transition at or before `at`: ties keep insertion
+        // order, and an in-order append (a decoder's case) is O(log n)
+        // rather than a re-sort.
+        let ix = self.transitions.partition_point(|t| t.at <= at);
+        self.transitions.insert(ix, FaultTransition { at, event });
     }
 
     /// Builder form of [`FaultScript::push`].

@@ -169,14 +169,7 @@ impl Cache {
     pub fn store(&mut self, hash: u64, payload: &[u8]) -> io::Result<()> {
         let generation = self.next_gen;
         self.next_gen += 1;
-        let mut bytes = format!(
-            "{MAGIC} {} {hash:016x} {generation} {} {:016x}\n",
-            self.engine,
-            payload.len(),
-            fnv1a_64(payload)
-        )
-        .into_bytes();
-        bytes.extend_from_slice(payload);
+        let bytes = entry_bytes(&self.engine, hash, generation, payload);
         let tmp = self.dir.join(format!(
             "{hash:016x}.{}.{}.tmp",
             std::process::id(),
@@ -256,6 +249,18 @@ impl Cache {
     }
 }
 
+/// A complete entry file: header line, then the payload.
+fn entry_bytes(engine: &str, hash: u64, generation: u64, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = format!(
+        "{MAGIC} {engine} {hash:016x} {generation} {} {:016x}\n",
+        payload.len(),
+        fnv1a_64(payload)
+    )
+    .into_bytes();
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
 struct Header {
     engine: String,
     hash: u64,
@@ -304,6 +309,7 @@ fn verify(bytes: &[u8], want_hash: u64, want_engine: &str) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Collision-free scratch dir without wall-clock or RNG reads.
     fn scratch(tag: &str) -> PathBuf {
@@ -317,14 +323,7 @@ mod tests {
     /// what a sibling daemon sharing the directory would leave behind.
     fn plant_entry(dir: &Path, hash: u64, generation: u64, payload: &[u8]) {
         fs::create_dir_all(dir).unwrap();
-        let mut bytes = format!(
-            "{MAGIC} {} {hash:016x} {generation} {} {:016x}\n",
-            engine_version(),
-            payload.len(),
-            fnv1a_64(payload)
-        )
-        .into_bytes();
-        bytes.extend_from_slice(payload);
+        let bytes = entry_bytes(&engine_version(), hash, generation, payload);
         fs::write(dir.join(format!("{hash:016x}{SUFFIX}")), bytes).unwrap();
     }
 
@@ -590,5 +589,63 @@ mod tests {
         assert!(!dir.join("0000000000000042.hexres").exists());
         assert!(!dir.join("notes.hexres").exists());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    const HASH: u64 = 0x0123_4567_89ab_cdef;
+
+    /// A well-formed entry for [`HASH`] under this engine.
+    fn entry() -> (Vec<u8>, Vec<u8>) {
+        let payload = b"{\"table\":\"skew_summary\",\"rows\":[]}\n".to_vec();
+        (entry_bytes(&engine_version(), HASH, 42, &payload), payload)
+    }
+
+    proptest! {
+        // Shared CI case budget: pin 32 cases (= compat/proptest DEFAULT_CASES).
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Arbitrary bytes are no entry: the header parse and the full
+        /// verification chain both refuse them without panicking.
+        #[test]
+        fn prop_arbitrary_bytes_fail_verification(
+            bytes in prop::collection::vec(any::<u8>(), 0..512),
+            hash in any::<u64>(),
+        ) {
+            prop_assert!(parse_header(&bytes).is_none());
+            prop_assert!(verify(&bytes, hash, &engine_version()).is_none());
+        }
+
+        /// Garbage behind the magic reaches the field parsers.
+        #[test]
+        fn prop_garbage_after_the_magic_fails_verification(
+            tail in prop::collection::vec(any::<u8>(), 0..256),
+        ) {
+            let mut bytes = format!("{MAGIC} ").into_bytes();
+            bytes.extend_from_slice(&tail);
+            prop_assert!(verify(&bytes, HASH, &engine_version()).is_none());
+        }
+
+        /// Every strict prefix of a valid entry (a torn write) fails.
+        #[test]
+        fn prop_truncated_entries_fail_verification(cut in any::<prop::sample::Index>()) {
+            let (bytes, payload) = entry();
+            prop_assert_eq!(verify(&bytes, HASH, &engine_version()), Some(payload));
+            let cut = cut.index(bytes.len());
+            prop_assert!(verify(&bytes[..cut], HASH, &engine_version()).is_none());
+        }
+
+        /// One overwritten byte anywhere never yields wrong payload bytes:
+        /// the chain answers with the original payload or nothing.
+        #[test]
+        fn prop_corrupted_entries_never_serve_wrong_bytes(
+            at in any::<prop::sample::Index>(),
+            flip in 1u8..=255,
+        ) {
+            let (mut bytes, payload) = entry();
+            let at = at.index(bytes.len());
+            bytes[at] ^= flip;
+            if let Some(got) = verify(&bytes, HASH, &engine_version()) {
+                prop_assert_eq!(got, payload);
+            }
+        }
     }
 }

@@ -362,6 +362,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, String> {
 mod tests {
     use super::*;
     use hex_sim::RunSpec;
+    use proptest::prelude::*;
 
     fn query() -> Query {
         Query {
@@ -471,5 +472,150 @@ mod tests {
         // Stable across calls (and, with a fixed engine version, across
         // processes — the serve tests pin a golden value).
         assert_eq!(q.hash(), query().hash());
+    }
+
+    fn requests() -> [Request; 4] {
+        [
+            Request::Ping,
+            Request::Stats,
+            Request::Shutdown,
+            Request::Query(query()),
+        ]
+    }
+
+    fn responses() -> [Response; 5] {
+        [
+            Response::Pong,
+            Response::Bye,
+            Response::Ok {
+                cached: false,
+                engine: hex_sim::canon::engine_version(),
+                query_hash: 0x0042_0042_dead_beef,
+                payload: b"{\"table\":\"skew_summary\"}\n".to_vec(),
+            },
+            Response::Stats(b"{\"computations\":3}".to_vec()),
+            Response::Err {
+                code: ErrorCode::ComputeFailed,
+                message: "infeasible fault placement".to_string(),
+            },
+        ]
+    }
+
+    /// Header words and edge-case values the payload grammar reacts to.
+    const TOKENS: [&str; 18] = [
+        " ",
+        "\n",
+        "ping",
+        "query",
+        "skew",
+        "stabilize",
+        "ok",
+        "err",
+        "busy",
+        "stats",
+        "0",
+        "1",
+        "-1",
+        "ffffffffffffffff",
+        "18446744073709551616",
+        "hexd/1",
+        "\u{fffd}",
+        "",
+    ];
+
+    fn soup(ixs: &[usize]) -> Vec<u8> {
+        ixs.iter().flat_map(|&i| TOKENS[i].bytes()).collect()
+    }
+
+    proptest! {
+        // Shared CI case budget: pin 32 cases (= compat/proptest DEFAULT_CASES).
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Arbitrary bytes decode to an error, never a panic.
+        #[test]
+        fn prop_arbitrary_payloads_are_rejected(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+            prop_assert!(decode_request(&bytes).is_err());
+            prop_assert!(decode_response(&bytes).is_err());
+        }
+
+        /// Token soup behind the version reaches every verb and field
+        /// parser; whatever it decodes to, nothing panics.
+        #[test]
+        fn prop_token_soup_never_panics(ixs in prop::collection::vec(0usize..TOKENS.len(), 0..24)) {
+            let mut payload = format!("{VERSION} ").into_bytes();
+            payload.extend(soup(&ixs));
+            let _ = decode_request(&payload);
+            let _ = decode_response(&payload);
+        }
+
+        /// A truncated payload never decodes to the original message, and
+        /// a request cut inside its header line is rejected outright.
+        #[test]
+        fn prop_truncated_payloads_are_rejected(cut in any::<prop::sample::Index>()) {
+            for req in requests() {
+                let payload = encode_request(&req);
+                let cut = cut.index(payload.len());
+                let header_end = payload.iter().position(|&b| b == b'\n').unwrap_or(payload.len());
+                let got = decode_request(&payload[..cut]);
+                prop_assert!(got.as_ref() != Ok(&req), "{req:?} cut at {cut}");
+                if cut <= header_end {
+                    prop_assert!(got.is_err(), "{req:?} cut at {cut}");
+                }
+            }
+            for resp in responses() {
+                let payload = encode_response(&resp);
+                let cut = cut.index(payload.len());
+                prop_assert!(decode_response(&payload[..cut]).as_ref() != Ok(&resp));
+            }
+        }
+
+        /// Fewer than four bytes of length prefix read as a clean EOF.
+        #[test]
+        fn prop_short_length_prefix_reads_as_eof(prefix in any::<u32>(), have in 0usize..4) {
+            let bytes = prefix.to_be_bytes();
+            let mut r = &bytes[..have];
+            prop_assert!(matches!(read_frame(&mut r), Ok(None)));
+        }
+
+        /// A declared length over the cap is refused before any payload
+        /// is read or allocated.
+        #[test]
+        fn prop_oversize_declared_length_is_rejected(
+            len in (MAX_FRAME + 1)..=u32::MAX,
+            tail in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut bytes = len.to_be_bytes().to_vec();
+            bytes.extend(tail);
+            let err = read_frame(&mut &bytes[..]).unwrap_err();
+            prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
+
+        /// A payload shorter than its declared length is an error.
+        #[test]
+        fn prop_truncated_frame_is_an_error(len in 1u32..4096, have in any::<prop::sample::Index>()) {
+            let mut bytes = len.to_be_bytes().to_vec();
+            bytes.resize(4 + have.index(len as usize), 0xa5);
+            prop_assert!(read_frame(&mut &bytes[..]).is_err());
+        }
+
+        /// An arbitrary byte stream yields frames of exactly their
+        /// declared length until a clean EOF or an error; never a panic.
+        #[test]
+        fn prop_arbitrary_streams_never_panic(
+            small_len in any::<bool>(),
+            bytes in prop::collection::vec(any::<u8>(), 0..512),
+        ) {
+            let mut bytes = bytes;
+            if small_len && bytes.len() >= 4 {
+                // Keep the first length prefix plausible so frames parse.
+                bytes[0] = 0;
+                bytes[1] = 0;
+                bytes[2] = 0;
+            }
+            let mut r = &bytes[..];
+            while let Ok(Some(frame)) = read_frame(&mut r) {
+                prop_assert!(frame.len() <= bytes.len() - 4);
+            }
+        }
     }
 }

@@ -265,9 +265,15 @@ where
     });
 
     // Restore run order: chunks are disjoint, so sorting by start index
-    // yields consecutive ranges; merge left to right.
+    // yields consecutive ranges; merge left to right into the first
+    // chunk's accumulator, which is kept rather than copied into a fresh
+    // `empty()` (the concatenation law makes the two equal).
     parts.sort_by_key(|&(start, _)| start);
-    parts.into_iter().map(|(_, acc)| acc).fold(empty(), merge)
+    parts
+        .into_iter()
+        .map(|(_, acc)| acc)
+        .reduce(merge)
+        .unwrap_or_else(empty)
 }
 
 /// The machine's available parallelism (≥ 1).
@@ -411,6 +417,43 @@ mod tests {
         );
         for (i, c) in counts.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "index {i}");
+        }
+    }
+
+    /// Counts chunks (accumulators that received a run) and merges, and
+    /// flags any merge whose `left` is a fresh `empty()`.
+    #[test]
+    fn merges_start_from_the_first_chunk_not_from_empty() {
+        use std::sync::atomic::AtomicUsize;
+        for (runs, threads) in [(0, 4), (1, 4), (2, 2), (64, 1), (137, 3), (200, 6)] {
+            let chunks = AtomicUsize::new(0);
+            let merges = AtomicUsize::new(0);
+            let acc = run_batch_fold_with(
+                runs,
+                threads,
+                || (),
+                Vec::new,
+                |(), acc: &mut Vec<usize>, run| {
+                    if acc.is_empty() {
+                        chunks.fetch_add(1, Ordering::Relaxed);
+                    }
+                    acc.push(run);
+                },
+                |mut left, right| {
+                    assert!(!left.is_empty(), "merged into a fresh empty()");
+                    merges.fetch_add(1, Ordering::Relaxed);
+                    left.extend(right);
+                    left
+                },
+            );
+            assert_eq!(acc, (0..runs).collect::<Vec<_>>(), "runs = {runs}");
+            let (chunks, merges) = (chunks.into_inner(), merges.into_inner());
+            let expected_merges = chunks.saturating_sub(1);
+            assert_eq!(
+                merges, expected_merges,
+                "runs = {runs}, threads = {threads}"
+            );
+            assert_eq!(chunks == 0, runs == 0, "runs = {runs}");
         }
     }
 

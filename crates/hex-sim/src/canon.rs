@@ -473,7 +473,10 @@ fn decode_schedule(lines: &mut std::str::Lines<'_>) -> Result<Option<Schedule>, 
             let sources: usize = raw
                 .parse()
                 .map_err(|_| format!("malformed schedule source count {raw:?}"))?;
-            let mut fires: Vec<Vec<Time>> = Vec::with_capacity(sources);
+            // No `with_capacity(sources)`: the count is untrusted, and a
+            // huge one must fail on the missing lines, not abort the
+            // allocation.
+            let mut fires: Vec<Vec<Time>> = Vec::new();
             for expect in 0..sources {
                 let f = fields(lines, "s")?;
                 let ix: usize = parse(&f, 0, "schedule source index")?;
@@ -606,6 +609,7 @@ fn rejoin_from_label(label: &str) -> Result<RejoinState, String> {
 mod tests {
     use super::*;
     use hex_core::Timing;
+    use proptest::prelude::*;
 
     fn round_trip(spec: &RunSpec) {
         let bytes = encode_spec(spec);
@@ -827,5 +831,130 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    /// A spec exercising every variable-length section: a fault script,
+    /// a per-link delay table and a schedule override.
+    fn rich_spec() -> RunSpec {
+        let script = FaultScript::none()
+            .with(
+                Time::from_ps(10_000),
+                FaultEvent::Fail(7, NodeFault::Byzantine),
+            )
+            .with(Time::from_ps(45_000), FaultEvent::LinkUp(2));
+        let sched = Schedule::new(vec![vec![Time::from_ps(-200), Time::ZERO], vec![]]);
+        RunSpec::grid(4, 3)
+            .faults(FaultRegime::Script(script))
+            .delays(DelayModel::PerLinkFixed(vec![
+                Duration::from_ps(7161),
+                Duration::from_ps(8197),
+            ]))
+            .schedule(sched)
+    }
+
+    #[test]
+    fn huge_declared_counts_are_rejected_without_allocating() {
+        let text = String::from_utf8(encode_spec(&RunSpec::grid(4, 4))).unwrap();
+        let max = u64::MAX;
+        for (from, to) in [
+            ("schedule none", format!("schedule {max}")),
+            ("faults none", format!("faults plan {max} {max}")),
+            ("faults none", format!("faults script {max}")),
+            (
+                "delays per_message 7161 8197",
+                format!("delays table {max}\ndl 1"),
+            ),
+        ] {
+            let bad = text.replace(from, &to);
+            assert_ne!(bad, text, "{from} not in the encoding");
+            assert!(decode_spec(bad.as_bytes()).is_err(), "{to} accepted");
+        }
+    }
+
+    /// Field keywords and edge-case values the decoder reacts to.
+    const TOKENS: [&str; 30] = [
+        " ",
+        "\n",
+        "\r\n",
+        "grid",
+        "runs",
+        "seed",
+        "scenario",
+        "faults",
+        "plan",
+        "script",
+        "ft",
+        "fnode",
+        "flink",
+        "fail",
+        "heal",
+        "byzantine",
+        "delays",
+        "table",
+        "dl",
+        "spatial",
+        "timing",
+        "fixed",
+        "schedule",
+        "s",
+        "none",
+        "0",
+        "7",
+        "-1",
+        "18446744073709551616",
+        "7ff8000000000000",
+    ];
+
+    proptest! {
+        // Shared CI case budget: pin 32 cases (= compat/proptest DEFAULT_CASES).
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Arbitrary bytes are rejected, never a panic.
+        #[test]
+        fn prop_arbitrary_bytes_are_rejected(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+            prop_assert!(decode_spec(&bytes).is_err());
+        }
+
+        /// A canonical prefix followed by token soup reaches every field
+        /// decoder with hostile input; nothing panics.
+        #[test]
+        fn prop_spliced_token_soup_never_panics(
+            cut in any::<prop::sample::Index>(),
+            ixs in prop::collection::vec(0usize..TOKENS.len(), 0..40),
+        ) {
+            let good = encode_spec(&rich_spec());
+            let mut bytes = good[..cut.index(good.len())].to_vec();
+            bytes.extend(ixs.iter().flat_map(|&i| TOKENS[i].bytes()));
+            let _ = decode_spec(&bytes);
+        }
+
+        /// Every truncation that loses a whole field line is rejected.
+        #[test]
+        fn prop_truncated_specs_are_rejected(cut in any::<prop::sample::Index>()) {
+            let good = encode_spec(&rich_spec());
+            prop_assert!(decode_spec(&good).is_ok());
+            let last_line = good[..good.len() - 1]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .expect("multi-line encoding")
+                + 1;
+            let cut = cut.index(last_line + 1);
+            prop_assert!(decode_spec(&good[..cut]).is_err(), "cut at {cut}");
+        }
+
+        /// One overwritten byte never panics, and whatever still decodes
+        /// is a spec the encoder can render.
+        #[test]
+        fn prop_corrupted_specs_never_panic(
+            at in any::<prop::sample::Index>(),
+            flip in 1u8..=255,
+        ) {
+            let mut bytes = encode_spec(&rich_spec());
+            let at = at.index(bytes.len());
+            bytes[at] ^= flip;
+            if let Ok(spec) = decode_spec(&bytes) {
+                let _ = encode_spec(&spec);
+            }
+        }
     }
 }
