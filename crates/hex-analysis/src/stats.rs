@@ -11,10 +11,10 @@
 //! orders them as `i64`s rather than as nanosecond `f64`s: by a counting
 //! sort over `[min, max]` when that span is under eight picoseconds per
 //! sample (every real skew population: spans of a few thousand to ~15k ps
-//! against 1k–750k samples), else by an unstable comparison sort, which is
-//! exact because equal integers are indistinguishable. The ascending integers are then
-//! mapped through [`Duration::ns`] and fed to the same quantile, mean and
-//! standard-deviation code as [`Summary::from_ns`].
+//! against 1k–750k samples), else by an unstable comparison sort, which
+//! is exact because equal integers are indistinguishable. The ascending
+//! integers are then mapped through [`Duration::ns`] and fed to the same
+//! quantile, mean and standard-deviation code as [`Summary::from_ns`].
 //!
 //! The result is bit-identical to `Summary::from_ns` over the mapped
 //! values. `ns()` is `ps as f64 / 1e3`: an `i64 → f64` conversion and a
@@ -81,16 +81,9 @@ fn counting_sort_applies(span: u64, n: usize) -> bool {
 /// A non-empty `values` in nanoseconds, ascending.
 fn sorted_ns(values: &[Duration]) -> Vec<f64> {
     let n = values.len();
-    let lo = values
-        .iter()
-        .map(|d| d.ps())
-        .min()
-        .expect("non-empty sample");
-    let hi = values
-        .iter()
-        .map(|d| d.ps())
-        .max()
-        .expect("non-empty sample");
+    let (lo, hi) = values.iter().fold((i64::MAX, i64::MIN), |(lo, hi), d| {
+        (lo.min(d.ps()), hi.max(d.ps()))
+    });
     let span = hi.abs_diff(lo);
     let mut sorted = Vec::with_capacity(n);
     if counting_sort_applies(span, n) {
