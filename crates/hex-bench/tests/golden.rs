@@ -8,7 +8,15 @@
 //!   50×20 grid (the `hexd` skew payload);
 //! * `per_run/<scenario>/<faults>/runs<N>` — the bit patterns of every
 //!   per-run intra- and inter-layer [`Summary`], in run order;
-//! * `bin/<name>` — the stdout of a figure/table binary at `HEX_RUNS=2`.
+//! * `bin/<name>` — the stdout of a figure/table binary at `HEX_RUNS=2`;
+//! * `engine/<regime>/seed<S>/{vcd,counters,skew,stabilization}` — the
+//!   engine matrix on a 12×8 grid, 4 runs per seed: the VCD export of
+//!   every run's trace, the `popped_events`/`stale_events` counters of the
+//!   trace and observed paths, and the observed-fold skew and
+//!   stabilization tables, for fault-free, static Byzantine, Mixed,
+//!   arbitrary-init, all-flags-set and scripted regimes;
+//! * `campaign/<shape>/seed<S>` — `campaign_summary_table` JSON of the
+//!   burst, crash and churn campaigns on the same grid.
 //!
 //! A mismatch means an output changed. If the change is deliberate,
 //! re-pin with `scripts/regen_golden.sh` and record why in CHANGES.md;
@@ -17,11 +25,22 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::Command;
 
-use hex_analysis::reduce::{batch_skews, skew_summary_table};
+use hex_analysis::reduce::{
+    batch_skews, campaign_restabilization, skew_summary_table, ObservedSkewReducer,
+    ObservedStabilizationReducer,
+};
+use hex_analysis::stabilization::{
+    campaign_summary_table, stabilization_summary_table, summarize, Criterion,
+};
 use hex_analysis::stats::Summary;
 use hex_clock::Scenario;
+use hex_core::fault::forwarder_candidates;
+use hex_core::{FaultScript, LinkBehavior, NodeFault, RejoinState, D_PLUS};
+use hex_des::{SimRng, Time};
 use hex_sim::canon::fnv1a_64;
-use hex_sim::{FaultRegime, RunSpec};
+use hex_sim::{
+    simulate_into, vcd_document, FaultRegime, InitState, RunSpec, SimScratch, VcdOptions,
+};
 
 const GOLDEN: &str = include_str!("GOLDEN.txt");
 
@@ -70,6 +89,177 @@ fn pipeline_digests(out: &mut BTreeMap<String, u64>) {
     }
 }
 
+/// The engine matrix's grid: small enough that every regime runs in
+/// milliseconds, large enough for three Condition-1 Byzantine nodes.
+const ENGINE_GRID: (u32, u32) = (12, 8);
+const ENGINE_RUNS: usize = 4;
+const ENGINE_SEEDS: [u64; 3] = [1, 2, 3];
+
+fn engine_base(seed: u64) -> RunSpec {
+    RunSpec::grid(ENGINE_GRID.0, ENGINE_GRID.1)
+        .scenario(Scenario::RandomDPlus)
+        .seed(seed)
+        .runs(ENGINE_RUNS)
+        .threads(2)
+}
+
+/// A merged burst + crash-rejoin + link-flap timeline over `spec`'s grid,
+/// scaled by its pulse separation.
+fn merged_script(spec: &RunSpec) -> FaultScript {
+    let grid = spec.hex_grid();
+    let s = spec.separation();
+    let onset = Time::ZERO + s + s / 2;
+    let flapped = grid.graph().out_links(grid.node(5, 6))[0];
+    FaultScript::burst(
+        grid.node(6, 4),
+        NodeFault::Byzantine,
+        onset,
+        onset + s.times(2),
+        RejoinState::Arbitrary,
+    )
+    .merged(FaultScript::crash_rejoin(
+        grid.node(3, 2),
+        onset + s,
+        onset + s.times(3),
+        RejoinState::Clean,
+    ))
+    .merged(FaultScript::link_flap(
+        flapped,
+        LinkBehavior::StuckOne,
+        onset + s / 2,
+        onset + s.times(2),
+    ))
+}
+
+/// The engine regimes of the matrix, each as a spec builder over a seed.
+fn engine_regimes() -> Vec<(&'static str, RunSpec)> {
+    let mut regimes = Vec::new();
+    for seed in ENGINE_SEEDS {
+        let base = engine_base(seed);
+        let scripted = base.clone().pulses(6);
+        let script = merged_script(&scripted);
+        regimes.extend([
+            ("fault_free", base.clone()),
+            ("byzantine3", base.clone().faults(FaultRegime::Byzantine(3))),
+            (
+                "mixed",
+                base.clone().faults(FaultRegime::Mixed {
+                    byzantine: 1,
+                    fail_silent: 2,
+                }),
+            ),
+            (
+                "arbitrary_byzantine2",
+                base.clone()
+                    .faults(FaultRegime::Byzantine(2))
+                    .init(InitState::Arbitrary)
+                    .pulses(8),
+            ),
+            (
+                "all_flags_set",
+                base.clone().init(InitState::AllFlagsSet).pulses(4),
+            ),
+            ("script", scripted.faults(FaultRegime::Script(script))),
+        ]);
+    }
+    regimes
+}
+
+/// Digests of the engine matrix: VCD bytes and work counters of every
+/// run, and the observed-fold skew (last pulse, 1-hop exclusion) and
+/// stabilization tables of the batch.
+fn engine_digests(out: &mut BTreeMap<String, u64>) {
+    for (regime, spec) in engine_regimes() {
+        let key = format!("engine/{regime}/seed{}", spec.seed);
+        let grid = spec.hex_grid();
+        let mut vcd = Vec::new();
+        let mut counters = Vec::new();
+        let mut scratch = SimScratch::new();
+        for run in 0..spec.runs {
+            let inputs = spec.materialize(run);
+            let trace = simulate_into(
+                &mut scratch,
+                grid.graph(),
+                &inputs.schedule,
+                &inputs.config,
+                inputs.seed,
+            );
+            vcd.extend_from_slice(vcd_document(&grid, trace, &VcdOptions::default()).as_bytes());
+            counters.extend_from_slice(&scratch.popped_events().to_le_bytes());
+            counters.extend_from_slice(&scratch.stale_events().to_le_bytes());
+            spec.run_one_observed_into(&grid, &mut scratch, run);
+            counters.extend_from_slice(&scratch.popped_events().to_le_bytes());
+            counters.extend_from_slice(&scratch.stale_events().to_le_bytes());
+        }
+        out.insert(format!("{key}/vcd"), fnv1a_64(&vcd));
+        out.insert(format!("{key}/counters"), fnv1a_64(&counters));
+
+        let last = spec.pulses.max(1) - 1;
+        let skews = spec.fold_observed(&ObservedSkewReducer::new(&grid, 1).at_pulse(last));
+        let table = skew_summary_table(&skews).to_json();
+        out.insert(format!("{key}/skew"), fnv1a_64(table.as_bytes()));
+
+        let criteria = [Criterion::uniform(D_PLUS * 3, D_PLUS, grid.length())];
+        let estimates = spec.fold_observed(&ObservedStabilizationReducer::new(&grid, &criteria, 1));
+        let table = stabilization_summary_table(&summarize(&estimates[0])).to_json();
+        out.insert(format!("{key}/stabilization"), fnv1a_64(table.as_bytes()));
+    }
+}
+
+/// Digests of the `hexctl campaign` shapes (burst, crash, churn) on the
+/// engine grid: the `campaign_summary_table` JSON of each.
+fn campaign_digests(out: &mut BTreeMap<String, u64>) {
+    for seed in ENGINE_SEEDS {
+        let base = engine_base(seed).pulses(8);
+        let grid = base.hex_grid();
+        let (length, width) = ENGINE_GRID;
+        let s = base.separation();
+        let onset = Time::ZERO + s + s / 2;
+        let victim = grid.node((length / 2).max(1), i64::from(width / 2));
+        let cap = (length / 4).max(1);
+        let mut candidates = forwarder_candidates(grid.graph());
+        candidates.retain(|&n| grid.graph().coord(n).is_some_and(|c| c.layer <= cap));
+        let shapes = [
+            (
+                "burst",
+                FaultScript::burst(
+                    victim,
+                    NodeFault::Byzantine,
+                    onset,
+                    onset + s.times(2),
+                    RejoinState::Arbitrary,
+                ),
+            ),
+            (
+                "crash",
+                FaultScript::crash_rejoin(victim, onset, onset + s.times(2), RejoinState::Clean),
+            ),
+            (
+                "churn",
+                FaultScript::churn(
+                    &candidates,
+                    onset,
+                    s,
+                    s.times(3),
+                    3,
+                    RejoinState::Clean,
+                    &mut SimRng::seed_from_u64(seed),
+                ),
+            ),
+        ];
+        let criterion = Criterion::uniform(D_PLUS * 3, D_PLUS, length);
+        for (shape, script) in shapes {
+            let spec = base.clone().faults(FaultRegime::Script(script));
+            let stats = campaign_restabilization(&spec, &criterion, 0);
+            let table = campaign_summary_table(&stats).to_json();
+            out.insert(
+                format!("campaign/{shape}/seed{seed}"),
+                fnv1a_64(table.as_bytes()),
+            );
+        }
+    }
+}
+
 /// Digests of each pinned binary's stdout at `HEX_RUNS=2`, with the
 /// knobs that change what is printed (`HEX_SEED`, `HEX_EMIT`, `HEX_CSV`)
 /// cleared. Execution knobs inherited from the environment (threads,
@@ -95,6 +285,8 @@ fn bin_digests(out: &mut BTreeMap<String, u64>) {
 fn current() -> BTreeMap<String, u64> {
     let mut out = BTreeMap::new();
     pipeline_digests(&mut out);
+    engine_digests(&mut out);
+    campaign_digests(&mut out);
     bin_digests(&mut out);
     out
 }
