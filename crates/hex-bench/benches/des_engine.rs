@@ -1,5 +1,5 @@
 //! Engine microbenchmarks: event-queue throughput and single-pulse
-//! simulation cost as a function of grid size, including the three-way
+//! simulation cost as a function of grid size, including the two-way
 //! `QueuePolicy` ablation on the flagship `single_pulse/grid/100x40`
 //! workload (recorded by `scripts/bench_snapshot.sh` into
 //! `BENCH_single_pulse.json`; the winner ships as the engine default).
@@ -138,104 +138,11 @@ fn bench_multi_pulse(c: &mut Criterion) {
     g.finish();
 }
 
-/// Batched SoA dispatch against the scalar reference on the same
-/// workloads, same queue (engine default): the rows differ only in
-/// `SimConfig::batch`. `single_pulse_*` is the fault-free fast-path
-/// regime (whole-batch masks let the kernel skip every fault and role
-/// check); `single_pulse_byzantine_*` keeps one Byzantine node so the
-/// guarded batched kernel is measured too; `stabilization_*` is the
-/// multi-pulse arbitrary-init regime. The committed
-/// `BENCH_single_pulse.json` snapshot records these rows — batched must
-/// not lose to scalar there.
-fn bench_dispatch(c: &mut Criterion) {
-    use hex_clock::{PulseTrain, Scenario};
-    use hex_core::{FaultPlan, NodeFault, Timing};
-    use hex_des::{Duration, SimRng};
-    use hex_sim::InitState;
-
-    let mut g = c.benchmark_group("dispatch");
-    g.sample_size(20);
-    for (l, w) in [(50u32, 20u32), (100, 40)] {
-        let grid = HexGrid::new(l, w);
-        let sched = zero_schedule(w);
-        for (label, batch) in [("scalar", false), ("batched", true)] {
-            let cfg = SimConfig {
-                batch,
-                ..SimConfig::fault_free()
-            };
-            g.bench_with_input(
-                BenchmarkId::new(format!("single_pulse_{label}"), format!("{l}x{w}")),
-                &grid,
-                |b, grid| {
-                    let mut scratch = SimScratch::new();
-                    let mut seed = 0u64;
-                    b.iter(|| {
-                        seed += 1;
-                        simulate_into(&mut scratch, grid.graph(), &sched, &cfg, seed).total_fires()
-                    })
-                },
-            );
-        }
-    }
-    {
-        let grid = HexGrid::new(50, 20);
-        let sched = zero_schedule(20);
-        for (label, batch) in [("scalar", false), ("batched", true)] {
-            let cfg = SimConfig {
-                batch,
-                faults: FaultPlan::none().with_node(grid.node(10, 10), NodeFault::Byzantine),
-                timing: Timing::paper_scenario_iii(),
-                ..SimConfig::fault_free()
-            };
-            g.bench_with_input(
-                BenchmarkId::new(format!("single_pulse_byzantine_{label}"), "50x20"),
-                &grid,
-                |b, grid| {
-                    let mut scratch = SimScratch::new();
-                    let mut seed = 0u64;
-                    b.iter(|| {
-                        seed += 1;
-                        simulate_into(&mut scratch, grid.graph(), &sched, &cfg, seed).total_fires()
-                    })
-                },
-            );
-        }
-    }
-    {
-        let grid = HexGrid::new(20, 20);
-        let mut rng = SimRng::seed_from_u64(7);
-        let sched =
-            PulseTrain::new(Scenario::Zero, 8, Duration::from_ns(300.0)).generate(20, &mut rng);
-        for (label, batch) in [("scalar", false), ("batched", true)] {
-            let cfg = SimConfig {
-                batch,
-                timing: Timing::paper_scenario_iii(),
-                init: InitState::Arbitrary,
-                ..SimConfig::fault_free()
-            };
-            g.bench_with_input(
-                BenchmarkId::new(format!("stabilization_{label}"), "20x20"),
-                &grid,
-                |b, grid| {
-                    let mut scratch = SimScratch::new();
-                    let mut seed = 0u64;
-                    b.iter(|| {
-                        seed += 1;
-                        simulate_into(&mut scratch, grid.graph(), &sched, &cfg, seed).total_fires()
-                    })
-                },
-            );
-        }
-    }
-    g.finish();
-}
-
-/// Dynamic fault campaigns (scripted mid-run transitions) under both
-/// dispatch strategies: `burst_*` flips one node Byzantine for a
-/// two-pulse window (the script machinery's guarded path), `churn_*`
-/// rolls three fail-silent windows across random forwarders. Scripted
-/// runs leave the fault-free whole-batch masks, so this measures the
-/// transition-application overhead the campaign sweeps pay.
+/// Dynamic fault campaigns (scripted mid-run transitions): `burst` flips
+/// one node Byzantine for a two-pulse window (the masked handler),
+/// `churn` rolls three fail-silent windows across random forwarders.
+/// Windows with a live fault leave the fault-free fast path, so this
+/// measures the transition-application overhead the campaign sweeps pay.
 fn bench_campaign(c: &mut Criterion) {
     use hex_clock::{PulseTrain, Scenario};
     use hex_core::fault::forwarder_candidates;
@@ -266,27 +173,20 @@ fn bench_campaign(c: &mut Criterion) {
         &mut churn_rng,
     );
     for (regime, script) in [("burst", &burst), ("churn", &churn)] {
-        for (label, batch) in [("scalar", false), ("batched", true)] {
-            let cfg = SimConfig {
-                batch,
-                script: Some(script.clone()),
-                timing: Timing::paper_scenario_iii(),
-                init: InitState::Arbitrary,
-                ..SimConfig::fault_free()
-            };
-            g.bench_with_input(
-                BenchmarkId::new(format!("{regime}_{label}"), "20x20"),
-                &grid,
-                |b, grid| {
-                    let mut scratch = SimScratch::new();
-                    let mut seed = 0u64;
-                    b.iter(|| {
-                        seed += 1;
-                        simulate_into(&mut scratch, grid.graph(), &sched, &cfg, seed).total_fires()
-                    })
-                },
-            );
-        }
+        let cfg = SimConfig {
+            script: Some(script.clone()),
+            timing: Timing::paper_scenario_iii(),
+            init: InitState::Arbitrary,
+            ..SimConfig::fault_free()
+        };
+        g.bench_with_input(BenchmarkId::new(regime, "20x20"), &grid, |b, grid| {
+            let mut scratch = SimScratch::new();
+            let mut seed = 0u64;
+            b.iter(|| {
+                seed += 1;
+                simulate_into(&mut scratch, grid.graph(), &sched, &cfg, seed).total_fires()
+            })
+        });
     }
     g.finish();
 }
@@ -296,7 +196,6 @@ criterion_group!(
     bench_event_queue,
     bench_single_pulse,
     bench_multi_pulse,
-    bench_dispatch,
     bench_campaign
 );
 criterion_main!(benches);

@@ -1,16 +1,16 @@
 //! The future-event-list abstraction the simulation engines plug into.
 //!
-//! Three queue implementations share one deterministic contract — pops
+//! Two queue implementations share one deterministic contract — pops
 //! ordered by `(time, push sequence)`, FIFO on ties, past-scheduling
 //! panics, monotone `now()`, and a [`clear`](FutureEventList::clear) that
 //! restores the fresh state while keeping allocations:
 //!
-//! * [`EventQueue`] — `std::collections::BinaryHeap`;
-//! * [`QuadHeapQueue`] — a 4-ary implicit heap;
+//! * [`EventQueue`] — `std::collections::BinaryHeap`, the event-at-a-time
+//!   reference its property tests check the ring against;
 //! * [`CalendarQueue`] — a bounded-horizon calendar/bucket ring.
 //!
 //! [`FutureEventList`] is **sealed**: the determinism walls (byte-identical
-//! traces across queue policies) only cover these three implementations,
+//! traces across queue policies) only cover these two implementations,
 //! so external impls are deliberately impossible. Engines genericize their
 //! hot loop over the trait and select the implementation once per run —
 //! monomorphized dispatch, no per-event indirection:
@@ -33,7 +33,6 @@
 
 use crate::calendar::CalendarQueue;
 use crate::event::EventQueue;
-use crate::quad_heap::QuadHeapQueue;
 use crate::time::{Duration, Time};
 
 mod sealed {
@@ -41,7 +40,6 @@ mod sealed {
     /// [`super::FutureEventList`].
     pub trait Sealed {}
     impl<E> Sealed for super::EventQueue<E> {}
-    impl<E> Sealed for super::QuadHeapQueue<E> {}
     impl<E> Sealed for super::CalendarQueue<E> {}
 }
 
@@ -58,8 +56,7 @@ pub trait FutureEventList<E>: sealed::Sealed {
     fn pop_next(&mut self) -> Option<(Time, E)>;
 
     /// Time of the earliest pending event without popping it (`None` when
-    /// empty). Never advances time or any counter — the sharded engine
-    /// uses this to size lockstep tile windows between barriers.
+    /// empty). Never advances time or any counter.
     fn peek_time(&self) -> Option<Time>;
 
     /// Current simulated time (time of the last popped event).
@@ -140,49 +137,6 @@ impl<E> FutureEventList<E> for EventQueue<E> {
     }
 }
 
-impl<E> FutureEventList<E> for QuadHeapQueue<E> {
-    fn push(&mut self, at: Time, payload: E) {
-        QuadHeapQueue::push(self, at, payload);
-    }
-    fn pop_next(&mut self) -> Option<(Time, E)> {
-        QuadHeapQueue::pop(self)
-    }
-    fn peek_time(&self) -> Option<Time> {
-        QuadHeapQueue::peek_time(self)
-    }
-    fn now(&self) -> Time {
-        QuadHeapQueue::now(self)
-    }
-    fn len(&self) -> usize {
-        QuadHeapQueue::len(self)
-    }
-    fn popped(&self) -> u64 {
-        QuadHeapQueue::popped(self)
-    }
-    fn clear(&mut self) {
-        QuadHeapQueue::clear(self);
-    }
-    fn reserve(&mut self, additional: usize) {
-        QuadHeapQueue::reserve(self, additional);
-    }
-    fn capacity(&self) -> usize {
-        QuadHeapQueue::capacity(self)
-    }
-    fn pop_batch(&mut self, span: Duration, cap: Time, out: &mut Vec<(Time, E)>) -> usize {
-        out.clear();
-        let first = match QuadHeapQueue::peek_time(self) {
-            Some(t) if t <= cap => t,
-            _ => return 0,
-        };
-        let limit = cap.min(first.saturating_add(span));
-        while QuadHeapQueue::peek_time(self).is_some_and(|t| t <= limit) {
-            let e = QuadHeapQueue::pop(self).expect("peeked event pops");
-            out.push(e);
-        }
-        out.len()
-    }
-}
-
 impl<E> FutureEventList<E> for CalendarQueue<E> {
     fn push(&mut self, at: Time, payload: E) {
         CalendarQueue::push(self, at, payload);
@@ -250,10 +204,8 @@ mod tests {
     fn trait_surface_consistent_across_impls() {
         let deltas: Vec<i64> = (0..200).map(|i| (i * 37) % 90).collect();
         let mut bin = EventQueue::new();
-        let mut quad = QuadHeapQueue::new();
         let mut cal = CalendarQueue::for_profile(Duration::from_ps(90), 8);
         let expect = hold(&mut bin, &deltas);
-        assert_eq!(hold(&mut quad, &deltas), expect);
         assert_eq!(hold(&mut cal, &deltas), expect);
         assert_eq!(FutureEventList::<usize>::popped(&bin), expect.len() as u64);
         assert_eq!(FutureEventList::<usize>::popped(&cal), expect.len() as u64);
@@ -323,10 +275,8 @@ mod tests {
         for span in [0i64, 1, 16, 90, 10_000] {
             let span = Duration::from_ps(span);
             let mut bin = EventQueue::new();
-            let mut quad = QuadHeapQueue::new();
             let mut cal = CalendarQueue::for_profile(Duration::from_ps(90), 8);
             let expect = hold_batched(&mut bin, span, Time::MAX, &deltas);
-            assert_eq!(hold_batched(&mut quad, span, Time::MAX, &deltas), expect);
             assert_eq!(hold_batched(&mut cal, span, Time::MAX, &deltas), expect);
             // Everything initially pushed or rescheduled was drained.
             assert_eq!(expect.len(), 8 + deltas.len());
@@ -336,56 +286,46 @@ mod tests {
     #[test]
     fn beyond_cap_heads_stay_pending() {
         let mut bin = EventQueue::new();
-        let mut quad = QuadHeapQueue::new();
         let mut cal = CalendarQueue::for_profile(Duration::from_ps(50), 8);
         let cap = Time::from_ps(40);
         let expect = hold_batched(&mut bin, Duration::from_ps(25), cap, &[50, 50, 50]);
-        assert_eq!(
-            hold_batched(&mut quad, Duration::from_ps(25), cap, &[50, 50, 50]),
-            expect
-        );
         assert_eq!(
             hold_batched(&mut cal, Duration::from_ps(25), cap, &[50, 50, 50]),
             expect
         );
         // Something was rescheduled past the cap and must still pend.
         assert!(!FutureEventList::<usize>::is_empty(&bin));
-        assert_eq!(bin.len(), quad.len());
         assert_eq!(FutureEventList::<usize>::len(&bin), cal.len());
     }
 
     proptest! {
         // Shared CI case budget: pin 32 cases (= compat/proptest DEFAULT_CASES).
         #![proptest_config(ProptestConfig::with_cases(32))]
-        /// All three implementations pop identically under random
+        /// Both implementations pop identically under random
         /// bounded-increment interleavings, through the trait surface.
         #[test]
-        fn prop_three_way_pop_equivalence(
+        fn prop_heap_and_ring_pop_equivalence(
             deltas in prop::collection::vec(0i64..120, 1..150),
         ) {
             let mut bin = EventQueue::new();
-            let mut quad = QuadHeapQueue::new();
             let mut cal = CalendarQueue::for_profile(Duration::from_ps(120), 8);
             let expect = hold(&mut bin, &deltas);
-            prop_assert_eq!(hold(&mut quad, &deltas), expect.clone());
             prop_assert_eq!(hold(&mut cal, &deltas), expect);
         }
 
-        /// Batched draining is pinned three ways under random spans and
+        /// Batched draining is pinned under random spans and
         /// interleavings: `hold_batched` checks each batch against a
         /// scalar `pop_next` replay on a cloned twin internally, and the
         /// full drain streams must agree across implementations.
         #[test]
-        fn prop_three_way_batch_equivalence(
+        fn prop_heap_and_ring_batch_equivalence(
             deltas in prop::collection::vec(0i64..120, 1..150),
             span in 0i64..200,
         ) {
             let span = Duration::from_ps(span);
             let mut bin = EventQueue::new();
-            let mut quad = QuadHeapQueue::new();
             let mut cal = CalendarQueue::for_profile(Duration::from_ps(120), 8);
             let expect = hold_batched(&mut bin, span, Time::MAX, &deltas);
-            prop_assert_eq!(hold_batched(&mut quad, span, Time::MAX, &deltas), expect.clone());
             prop_assert_eq!(hold_batched(&mut cal, span, Time::MAX, &deltas), expect);
         }
     }

@@ -74,13 +74,11 @@ impl ServeConfig {
     /// (all reads go through [`hex_sim::knobs`] — the `env-knob` lint
     /// holds for this crate with no suppressions).
     ///
-    /// Engine execution knobs are inherited from the daemon's own
-    /// environment rather than from clients: decoding a query spec goes
-    /// through `RunSpec::grid`, so `HEX_QUEUE`/`HEX_BATCH`/`HEX_SHARDS`
-    /// apply as they would to any local run. All three are excluded from
-    /// the canonical cache key — outputs are pinned identical across
-    /// them, so a cache entry computed sharded replays byte-identically
-    /// to one computed serially.
+    /// No engine knob of the daemon's own environment reaches a query:
+    /// a decoded spec carries the client's queue policy (the `queue`
+    /// line of the canonical encoding, hence part of the cache key), and
+    /// the engine has no other execution knob. The worker-thread count
+    /// is the daemon's, but batch outputs are pinned independent of it.
     pub fn from_knobs() -> ServeConfig {
         ServeConfig {
             addr: knobs::raw("HEX_SERVE_ADDR").unwrap_or_else(|| "hexd.sock".to_string()),

@@ -14,13 +14,24 @@
 //!
 //! Every event the engine schedules lands inside a bounded lookahead
 //! window of the current instant (`[d-, d+]` deliveries, `[T-, T+]` link
-//! and sleep timeouts), so the event list is pluggable via
-//! [`QueuePolicy`]: the `std::collections::BinaryHeap`-backed
-//! [`EventQueue`], the 4-ary [`QuadHeapQueue`], or the bounded-horizon
-//! [`CalendarQueue`] — all three pop byte-identically (`(time, seq)`
-//! order, FIFO ties), which the workspace determinism wall pins across
-//! policies. The hot loop is monomorphized per queue through the sealed
-//! [`FutureEventList`] trait; no per-event dynamic dispatch.
+//! and sleep timeouts), so the bounded-horizon [`CalendarQueue`] runs
+//! every simulation by default. [`QueuePolicy::BinaryHeap`] swaps in the
+//! `std::collections::BinaryHeap`-backed [`EventQueue`], whose
+//! [`pop_batch`](FutureEventList::pop_batch) is a loop over single pops:
+//! running the engine on it is the event-at-a-time reference. Both pop
+//! byte-identically (`(time, seq)` order, FIFO ties), which the workspace
+//! determinism walls and golden digests pin. The hot loop is
+//! monomorphized per queue through the sealed [`FutureEventList`] trait;
+//! no per-event dynamic dispatch.
+//!
+//! ## One driver, one handler
+//!
+//! `run_events` drains the list in bucket batches of span
+//! [`SimConfig::min_increment`], window by window between scripted fault
+//! transitions (an unscripted run is one window). Every popped event goes
+//! through the one copy of Algorithm 1's rules, `handle`, compiled twice:
+//! with `FAULT_FREE` for windows without any fault (every fault, role and
+//! stuck-at-1 check compiled out), and masked otherwise.
 //!
 //! ## Fault semantics
 //!
@@ -39,9 +50,7 @@ use hex_core::{
     DelayModel, FaultEvent, FaultPlan, FaultScript, FaultTransition, HexGrid, LinkBehavior,
     NodeFault, NodeId, PulseGraph, RejoinState, Role, Timing, TriggerCause,
 };
-use hex_des::{
-    CalendarQueue, Duration, EventQueue, FutureEventList, QuadHeapQueue, Schedule, SimRng, Time,
-};
+use hex_des::{CalendarQueue, Duration, EventQueue, FutureEventList, Schedule, SimRng, Time};
 
 use crate::observe::{FireLog, PulseBinner, RunObserver};
 use crate::soa::SoaNodes;
@@ -72,9 +81,9 @@ pub enum InitState {
 
 /// Which [`FutureEventList`] implementation the engine runs on.
 ///
-/// All three produce byte-identical traces (pinned by the determinism
-/// wall); the policy only trades queue-operation cost. The default is the
-/// winner of the three-way `pq`/`des_engine` ablation
+/// Both produce byte-identical traces (pinned by the determinism wall and
+/// the golden digests); the policy only trades queue-operation cost. The
+/// default is the winner of the `pq`/`des_engine` ablation
 /// (`scripts/bench_snapshot.sh` records it in `BENCH_*.json`): the
 /// bounded-horizon calendar ring wins every engine workload — ~20% on
 /// `single_pulse/grid/100x40`, ~27% on the stabilization regime, and
@@ -84,13 +93,9 @@ pub enum InitState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueuePolicy {
     /// `std::collections::BinaryHeap` via [`EventQueue`]: the measured
-    /// runner-up, and the reference implementation the walls compare
+    /// runner-up, and the event-at-a-time reference the walls compare
     /// against.
     BinaryHeap,
-    /// 4-ary implicit heap ([`QuadHeapQueue`]): fewer cache-missing
-    /// levels, more comparisons per sift. Loses to both others on HEX
-    /// workloads; kept as the measured counterfactual.
-    QuadHeap,
     /// Bounded-horizon calendar ring ([`CalendarQueue`]), sized per run
     /// from the delivery envelope and the graph's node count (see
     /// `calendar_geometry`) — the measured default.
@@ -99,16 +104,15 @@ pub enum QueuePolicy {
 
 impl Default for QueuePolicy {
     /// The calendar ring (the ablation winner) — unless `HEX_QUEUE` names
-    /// another policy, in which case the whole process defaults to that
-    /// one. The variable is read once and cached, so the default is
-    /// stable for the process lifetime; all policies produce byte-
-    /// identical output, so this is purely a performance (and CI
-    /// coverage: the test matrix re-runs the full suite under
-    /// `HEX_QUEUE=binary_heap`) knob.
+    /// the binary heap, in which case the whole process defaults to it.
+    /// The variable is read once and cached, so the default is stable for
+    /// the process lifetime; both policies produce byte-identical output,
+    /// so this is purely a performance (and CI coverage: the test matrix
+    /// re-runs the full suite under `HEX_QUEUE=binary_heap`) knob.
     fn default() -> Self {
         static ENV_DEFAULT: std::sync::OnceLock<QueuePolicy> = std::sync::OnceLock::new();
         *ENV_DEFAULT.get_or_init(|| {
-            crate::knobs::parsed("HEX_QUEUE", "binary_heap, quad_heap or calendar")
+            crate::knobs::parsed("HEX_QUEUE", "binary_heap or calendar")
                 .unwrap_or(QueuePolicy::Calendar)
         })
     }
@@ -116,17 +120,12 @@ impl Default for QueuePolicy {
 
 impl QueuePolicy {
     /// Every policy, in ablation-report order.
-    pub const ALL: [QueuePolicy; 3] = [
-        QueuePolicy::BinaryHeap,
-        QueuePolicy::QuadHeap,
-        QueuePolicy::Calendar,
-    ];
+    pub const ALL: [QueuePolicy; 2] = [QueuePolicy::BinaryHeap, QueuePolicy::Calendar];
 
     /// Short label used by benches and the `HEX_QUEUE` env knob.
     pub fn label(self) -> &'static str {
         match self {
             QueuePolicy::BinaryHeap => "binary_heap",
-            QueuePolicy::QuadHeap => "quad_heap",
             QueuePolicy::Calendar => "calendar",
         }
     }
@@ -136,14 +135,13 @@ impl std::str::FromStr for QueuePolicy {
     type Err = String;
 
     /// Accepts the bench labels and their obvious shorthands
-    /// (`binary_heap`/`binary`/`heap`, `quad_heap`/`quad`, `calendar`).
+    /// (`binary_heap`/`binary`/`heap`, `calendar`).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "binary_heap" | "binary" | "heap" => Ok(QueuePolicy::BinaryHeap),
-            "quad_heap" | "quad" => Ok(QueuePolicy::QuadHeap),
             "calendar" => Ok(QueuePolicy::Calendar),
             other => Err(format!(
-                "unknown queue policy {other:?} (expected binary_heap, quad_heap or calendar)"
+                "unknown queue policy {other:?} (expected binary_heap or calendar)"
             )),
         }
     }
@@ -170,22 +168,6 @@ pub struct SimConfig {
     pub record_arrivals: bool,
     /// Future-event-list implementation (identical output either way).
     pub queue: QueuePolicy,
-    /// Drain the event list in bucket batches through the
-    /// structure-of-arrays kernels instead of one event at a time
-    /// (identical output either way, pinned by the determinism wall; see
-    /// [`batch_default`] for the `HEX_BATCH` escape hatch). Like `queue`,
-    /// this is a pure execution-strategy knob and is deliberately **not**
-    /// part of the canonical run encoding.
-    pub batch: bool,
-    /// Number of lockstep grid tiles one run is sharded across
-    /// (`hex_sim::shard`). 1 (the default) runs today's serial engine;
-    /// larger values partition the grid into column tiles that drain
-    /// conservative time windows in parallel. Like `queue` and `batch`
-    /// this is a pure execution-strategy knob — outputs are
-    /// shard-count-independent (pinned by the determinism wall) and the
-    /// value is deliberately **not** part of the canonical run encoding.
-    /// See [`shard_default`] for the `HEX_SHARDS` env knob.
-    pub shards: usize,
     /// Dynamic fault timeline: scheduled [`FaultTransition`]s that flip
     /// the hoisted `active`/`faulty` bitmasks (and the link-behaviour
     /// table) mid-run. `None` (or an empty script) runs the static-plan
@@ -203,38 +185,6 @@ pub struct SimConfig {
 /// byte-identical to an unscripted run.
 pub const SCRIPT_SALT: u64 = 0x5EED_5C21;
 
-/// The process-wide default for [`SimConfig::batch`]: batched kernels on,
-/// unless the `HEX_BATCH` env knob turns them off (`off`/`0`/`false`),
-/// which CI uses to keep the scalar reference path exercised by the full
-/// suite. Read once and cached, like the `HEX_QUEUE` policy default.
-pub fn batch_default() -> bool {
-    static ENV_DEFAULT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENV_DEFAULT.get_or_init(|| match crate::knobs::raw("HEX_BATCH").as_deref() {
-        None => true,
-        Some("on") | Some("1") | Some("true") => true,
-        Some("off") | Some("0") | Some("false") => false,
-        Some(v) => panic!("HEX_BATCH must be on or off, got {v:?}"),
-    })
-}
-
-/// The process-wide default for [`SimConfig::shards`]: 1 (serial),
-/// unless the `HEX_SHARDS` env knob names a tile count — which the CI
-/// matrix uses (`HEX_SHARDS=4`) to run the whole suite through the
-/// sharded engine. Read once and cached, like the `HEX_QUEUE` policy
-/// default; malformed or zero values abort with the uniform knob
-/// diagnostic.
-pub fn shard_default() -> usize {
-    static ENV_DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *ENV_DEFAULT.get_or_init(|| {
-        let shards = crate::knobs::parsed("HEX_SHARDS", "a shard count of 1 or more").unwrap_or(1);
-        assert!(
-            shards >= 1,
-            "HEX_SHARDS must be a shard count of 1 or more, got \"0\""
-        );
-        shards
-    })
-}
-
 impl SimConfig {
     /// Fault-free, clean-start configuration with the paper's delay model
     /// and generous timeouts (single-pulse regime).
@@ -247,8 +197,6 @@ impl SimConfig {
             horizon: None,
             record_arrivals: false,
             queue: QueuePolicy::default(),
-            batch: batch_default(),
-            shards: shard_default(),
             script: None,
         }
     }
@@ -286,13 +234,14 @@ impl SimConfig {
 
     /// The smallest increment the event loop ever schedules ahead of `now`:
     /// the fastest delivery, memory timeout or sleep. This is the batch
-    /// span of the bucket-draining kernels — while a batch covering
+    /// span of the engine's driver — while a batch covering
     /// `[first, first + min_increment]` is processed, every event it
     /// schedules lands at or beyond the batch's end (same-instant pushes
     /// get later sequence numbers), so draining the whole batch up front
-    /// replays the scalar pop order exactly. Only in-loop scheduling is
-    /// constrained: pre-loop pushes (corrupted-init residuals may be
-    /// arbitrarily short) all happen before the first batch is drained.
+    /// replays the event-at-a-time pop order exactly. Only in-loop
+    /// scheduling is constrained: pre-loop pushes (corrupted-init
+    /// residuals may be arbitrarily short) all happen before the first
+    /// batch is drained.
     pub fn min_increment(&self) -> Duration {
         self.delays
             .envelope()
@@ -303,7 +252,7 @@ impl SimConfig {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Ev {
+enum Ev {
     SourceFire {
         node: NodeId,
     },
@@ -320,46 +269,12 @@ pub(crate) enum Ev {
         epoch: u32,
     },
     /// Sentinel for `cfg.script.transitions()[index]`: popping it ends the
-    /// current fault window. Seeded up-front (one per transition), so the
-    /// `(time, seq)` interleaving against regular events is identical on
-    /// the scalar and batched paths.
+    /// current fault window. Seeded up-front (one per transition), so its
+    /// `(time, seq)` interleaving against regular events is fixed by the
+    /// seeding order alone, whatever the queue policy.
     Script {
         index: u32,
     },
-}
-
-impl Ev {
-    /// Discriminant for the batched kernel's same-kind run grouping.
-    #[inline]
-    fn kind(self) -> u8 {
-        match self {
-            Ev::SourceFire { .. } => 0,
-            Ev::Deliver { .. } => 1,
-            Ev::LinkTimeout { .. } => 2,
-            Ev::Wake { .. } => 3,
-            Ev::Script { .. } => 4,
-        }
-    }
-}
-
-/// Where the event handlers *schedule*. Every handler shared between the
-/// serial and the sharded engine ([`seed_events`], [`handle_one`],
-/// [`apply_transition`] and their callees) only ever pushes — popping is
-/// the drivers' business — so their queue bound is this one-method trait
-/// rather than the sealed [`FutureEventList`]. The blanket impl covers
-/// every real queue; `hex_sim::shard` adds routing sinks that forward
-/// each push to the owning tile's queue (which the sealed trait, by
-/// design, does not allow it to impersonate).
-pub(crate) trait EvSink {
-    /// Schedule `ev` at absolute time `t`.
-    fn push(&mut self, t: Time, ev: Ev);
-}
-
-impl<Q: FutureEventList<Ev>> EvSink for Q {
-    #[inline]
-    fn push(&mut self, t: Time, ev: Ev) {
-        FutureEventList::push(self, t, ev);
-    }
 }
 
 /// The scratch-resident future event list: one variant per
@@ -368,14 +283,13 @@ impl<Q: FutureEventList<Ev>> EvSink for Q {
 #[derive(Debug)]
 enum FelQueue {
     Binary(EventQueue<Ev>),
-    Quad(QuadHeapQueue<Ev>),
     Calendar(CalendarQueue<Ev>),
 }
 
 /// The calendar ring geometry for a configuration on an `n`-node graph:
 /// bucket count tracks the resident event set (≈ one pending timer per
 /// node), one ring lap covers the maximum scheduling increment.
-pub(crate) fn calendar_geometry(cfg: &SimConfig, nodes: usize) -> (i64, usize) {
+fn calendar_geometry(cfg: &SimConfig, nodes: usize) -> (i64, usize) {
     let (_, nb) = hex_des::calendar::profile_geometry(cfg.max_increment(), nodes);
     let nb_i = nb as i64;
     let env = cfg.delays.envelope();
@@ -432,11 +346,11 @@ pub(crate) fn calendar_geometry(cfg: &SimConfig, nodes: usize) -> (i64, usize) {
 #[derive(Debug)]
 pub struct SimScratch {
     trace: Trace,
-    /// Structure-of-arrays node state ([`SoaNodes`]): both the scalar and
-    /// the batched kernels run on the same parallel-vector layout.
+    /// Structure-of-arrays node state ([`SoaNodes`]) the event handler
+    /// runs on.
     nodes: SoaNodes,
     queue: FelQueue,
-    /// The batched kernels' pop buffer ([`FutureEventList::pop_batch`]
+    /// The driver's pop buffer ([`FutureEventList::pop_batch`]
     /// drains into it); recycled like every other arena here.
     batch_buf: Vec<(Time, Ev)>,
     /// Per-node `role == Forwarder && !faulty` — the per-event
@@ -453,11 +367,6 @@ pub struct SimScratch {
     /// ([`simulate_observed_into`]); its slot buffers are recycled across
     /// runs like every other arena here.
     binner: PulseBinner,
-    /// Tile state of the sharded engine (`cfg.shards > 1`): per-tile
-    /// queues, node-state copies and mailbox buffers, recycled across
-    /// runs like every other arena here. Empty until the first sharded
-    /// run through this scratch.
-    shard: crate::shard::ShardScratch,
     grows: usize,
     popped_events: u64,
     stale_events: u64,
@@ -486,7 +395,6 @@ impl SimScratch {
             faulty: Vec::new(),
             out: crate::spec::RunView::default(),
             binner: PulseBinner::new(),
-            shard: crate::shard::ShardScratch::new(),
             grows: 0,
             popped_events: 0,
             stale_events: 0,
@@ -591,12 +499,6 @@ impl SimScratch {
                 FelQueue::Binary(q)
             }
             (QueuePolicy::BinaryHeap, _) => FelQueue::Binary(EventQueue::with_capacity(n)),
-            (QueuePolicy::QuadHeap, FelQueue::Quad(mut q)) => {
-                q.clear();
-                q.reserve(n);
-                FelQueue::Quad(q)
-            }
-            (QueuePolicy::QuadHeap, _) => FelQueue::Quad(QuadHeapQueue::with_capacity(n)),
             (QueuePolicy::Calendar, prev) => {
                 let (width, buckets) = calendar_geometry(cfg, n);
                 match prev {
@@ -641,36 +543,36 @@ pub fn simulate(graph: &PulseGraph, schedule: &Schedule, cfg: &SimConfig, seed: 
 /// eligibility bitmasks replace `FaultPlan` probes and `role` calls, and
 /// `all_links_correct` lets [`broadcast`] skip the behaviors table in the
 /// fault-free common case.
-pub(crate) struct RunCtx<'a> {
-    pub(crate) graph: &'a PulseGraph,
-    pub(crate) cfg: &'a SimConfig,
-    pub(crate) behaviors: &'a [LinkBehavior],
-    pub(crate) delays: &'a ResolvedDelays,
+struct RunCtx<'a> {
+    graph: &'a PulseGraph,
+    cfg: &'a SimConfig,
+    behaviors: &'a [LinkBehavior],
+    delays: &'a ResolvedDelays,
     /// `role == Forwarder && !faulty`, per node.
-    pub(crate) active: &'a [bool],
+    active: &'a [bool],
     /// `FaultPlan::is_faulty`, per node.
-    pub(crate) faulty: &'a [bool],
+    faulty: &'a [bool],
     /// No faulty node and no link override anywhere.
-    pub(crate) all_links_correct: bool,
-    pub(crate) horizon: Time,
+    all_links_correct: bool,
+    horizon: Time,
 }
 
 /// Everything a run derives before the event loop, in the one canonical
 /// order. The RNG draw sequence — delays resolved first, fault behaviors
 /// second — is part of the byte-equality contract between the trace and
 /// observer entry points, so it lives in exactly one place.
-pub(crate) struct RunSetup {
-    pub(crate) sources: Vec<NodeId>,
-    pub(crate) rng: SimRng,
-    pub(crate) delays: ResolvedDelays,
-    pub(crate) behaviors: Vec<LinkBehavior>,
-    pub(crate) horizon: Time,
+struct RunSetup {
+    sources: Vec<NodeId>,
+    rng: SimRng,
+    delays: ResolvedDelays,
+    behaviors: Vec<LinkBehavior>,
+    horizon: Time,
     /// The script RNG stream (`seed ^ SCRIPT_SALT`); only ever drawn from
     /// while applying a [`FaultTransition`].
-    pub(crate) script_rng: SimRng,
+    script_rng: SimRng,
     /// Setup-resolved copy of `behaviors`, the restore table for
     /// `Heal`/`LinkUp` transitions. Empty when the run has no script.
-    pub(crate) base_behaviors: Vec<LinkBehavior>,
+    base_behaviors: Vec<LinkBehavior>,
 }
 
 /// # Panics
@@ -709,10 +611,9 @@ fn prepare_run(graph: &PulseGraph, schedule: &Schedule, cfg: &SimConfig, seed: u
     }
 }
 
-/// Build the run context and drain the whole event list through the
-/// queue-policy match: the single observer-generic core behind both
-/// [`simulate_into`] and [`simulate_observed_into`]. One match per run
-/// (queue policy × scalar/batched), zero per-event dispatch on any axis.
+/// Drain the whole event list through the queue-policy match: the single
+/// observer-generic core behind both [`simulate_into`] and
+/// [`simulate_observed_into`]. One match per run, zero per-event dispatch.
 #[allow(clippy::too_many_arguments)]
 fn drive<O: RunObserver>(
     setup: &mut RunSetup,
@@ -726,71 +627,14 @@ fn drive<O: RunObserver>(
     obs: &mut O,
     arrivals: &mut [Vec<Arrival>],
     batch_buf: &mut Vec<(Time, Ev)>,
-    shard: &mut crate::shard::ShardScratch,
 ) -> (u64, u64) {
-    if cfg.shards > 1 {
-        // The sharded engine seeds through a routing sink straight into
-        // the tile queues; the master event list stays empty.
-        return crate::shard::drive_sharded(
-            setup, graph, cfg, schedule, shard, nodes, active, faulty, obs, arrivals,
-        );
-    }
-    let scripted = cfg.script.as_ref().is_some_and(|s| !s.is_empty());
-    macro_rules! drain {
-        ($q:expr) => {
-            if scripted {
-                if cfg.batch {
-                    run_events_scripted_batched(
-                        $q, setup, graph, cfg, schedule, nodes, active, faulty, obs, arrivals,
-                        batch_buf,
-                    )
-                } else {
-                    run_events_scripted(
-                        $q, setup, graph, cfg, schedule, nodes, active, faulty, obs, arrivals,
-                    )
-                }
-            } else {
-                let ctx = RunCtx {
-                    graph,
-                    cfg,
-                    behaviors: &setup.behaviors,
-                    delays: &setup.delays,
-                    active,
-                    faulty,
-                    all_links_correct: setup.behaviors.iter().all(|&b| b == LinkBehavior::Correct),
-                    horizon: setup.horizon,
-                };
-                if cfg.batch {
-                    run_events_batched(
-                        $q,
-                        &ctx,
-                        schedule,
-                        &setup.sources,
-                        nodes,
-                        obs,
-                        arrivals,
-                        &mut setup.rng,
-                        batch_buf,
-                    )
-                } else {
-                    run_events(
-                        $q,
-                        &ctx,
-                        schedule,
-                        &setup.sources,
-                        nodes,
-                        obs,
-                        arrivals,
-                        &mut setup.rng,
-                    )
-                }
-            }
-        };
-    }
     match queue {
-        FelQueue::Binary(q) => drain!(q),
-        FelQueue::Quad(q) => drain!(q),
-        FelQueue::Calendar(q) => drain!(q),
+        FelQueue::Binary(q) => run_events(
+            q, setup, graph, cfg, schedule, nodes, active, faulty, obs, arrivals, batch_buf,
+        ),
+        FelQueue::Calendar(q) => run_events(
+            q, setup, graph, cfg, schedule, nodes, active, faulty, obs, arrivals, batch_buf,
+        ),
     }
 }
 
@@ -821,7 +665,6 @@ pub fn simulate_into<'s>(
         batch_buf,
         active,
         faulty,
-        shard,
         ..
     } = scratch;
     let Trace {
@@ -830,7 +673,7 @@ pub fn simulate_into<'s>(
     let mut obs = FireLog { fires };
     let (popped, stale) = drive(
         &mut setup, graph, cfg, schedule, queue, nodes, active, faulty, &mut obs, arrivals,
-        batch_buf, shard,
+        batch_buf,
     );
 
     trace.faulty = cfg.faults.faulty_nodes();
@@ -876,14 +719,12 @@ pub fn simulate_observed_into<'s>(
         active,
         faulty,
         binner,
-        shard,
         ..
     } = scratch;
     binner.prepare(grid, schedule, d_mid, &cfg.faults.faulty_nodes());
     let arrivals = &mut trace.arrivals;
     let (popped, stale) = drive(
-        &mut setup, graph, cfg, schedule, queue, nodes, active, faulty, binner, arrivals,
-        batch_buf, shard,
+        &mut setup, graph, cfg, schedule, queue, nodes, active, faulty, binner, arrivals, batch_buf,
     );
 
     scratch.popped_events = popped;
@@ -893,11 +734,8 @@ pub fn simulate_observed_into<'s>(
 
 /// Schedule everything that exists before the first event pops: source
 /// pulses, corrupted-init states with their residual timeouts, stuck-at-1
-/// port assertions and the time-0 guard sweep. Shared verbatim by the
-/// scalar and batched kernels — the pre-loop RNG draw order is part of
-/// their byte-equality contract.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn seed_events<Q: EvSink, O: RunObserver>(
+/// port assertions and the time-0 guard sweep, in a fixed RNG draw order.
+fn seed_events<Q: FutureEventList<Ev>, O: RunObserver>(
     q: &mut Q,
     ctx: &RunCtx<'_>,
     schedule: &Schedule,
@@ -989,8 +827,7 @@ pub(crate) fn seed_events<Q: EvSink, O: RunObserver>(
 
     // One sentinel per scripted fault transition, pushed after everything
     // else: at equal timestamps, seed-time events apply before the
-    // transition and in-loop events after it, identically on the scalar
-    // and batched paths.
+    // transition and in-loop events after it.
     if let Some(script) = &cfg.script {
         for (index, tr) in script.transitions().iter().enumerate() {
             q.push(
@@ -1003,296 +840,26 @@ pub(crate) fn seed_events<Q: EvSink, O: RunObserver>(
     }
 }
 
-/// Schedule the initial events and drain the queue one event at a time:
-/// the scalar reference kernel. Firing records flow through `obs` — the
-/// [`FireLog`] of the trace path or the [`PulseBinner`] of the streaming
-/// path; both the queue and the observer are monomorphized, so the loop
-/// pays no per-event dispatch for either axis. Returns `(events popped,
-/// stale epoch-rejected events)`.
+/// Schedule the initial events and drain the queue: the one driver.
+///
+/// [`FutureEventList::pop_batch`] drains a span-bounded prefix of the pop
+/// sequence into `batch_buf`, and [`handle`] processes it event by event.
+/// Draining a batch up front replays the event-at-a-time pop order exactly
+/// because the span is [`SimConfig::min_increment`]: nothing processed
+/// inside a batch can schedule back into it.
+///
+/// The run proceeds window by window between scripted fault transitions
+/// (an unscripted run is a single window). Batches are capped one
+/// picosecond short of the next transition, so a whole window runs through
+/// the batch loop — `FAULT_FREE`-monomorphized whenever the window has no
+/// fault at all, masked otherwise. At a window boundary the remaining
+/// same-instant events are handled one pop at a time until the sentinel
+/// pops; the transition is applied (masks, behaviours, SoA state — see
+/// [`apply_transition`]) and the next window re-hoists its [`RunCtx`].
+/// Returns `(events popped, stale epoch-rejected events)`.
 #[allow(clippy::too_many_arguments)]
 fn run_events<Q: FutureEventList<Ev>, O: RunObserver>(
     q: &mut Q,
-    ctx: &RunCtx<'_>,
-    schedule: &Schedule,
-    sources: &[NodeId],
-    nodes: &mut SoaNodes,
-    obs: &mut O,
-    arrivals: &mut [Vec<Arrival>],
-    rng: &mut SimRng,
-) -> (u64, u64) {
-    seed_events(q, ctx, schedule, sources, nodes, obs, rng);
-
-    // Main loop.
-    let mut stale = 0u64;
-    while let Some((now, payload)) = q.pop_next() {
-        if now > ctx.horizon {
-            break;
-        }
-        match handle_one::<Q, O, false>(now, payload, ctx, nodes, obs, arrivals, q, rng) {
-            Step::Done => {}
-            Step::Stale => stale += 1,
-            Step::Script(_) => unreachable!("script sentinel in an unscripted run"),
-        }
-    }
-
-    (q.popped(), stale)
-}
-
-/// What one scalar event dispatch did: nothing reportable, a stale
-/// epoch-rejected pop, or a scripted-fault sentinel (ending the window).
-pub(crate) enum Step {
-    Done,
-    Stale,
-    Script(u32),
-}
-
-/// Dispatch one popped event under the current context — the shared arm
-/// bodies of the scalar reference loop, the scripted window loop and the
-/// batched path's window-boundary replay. `DYNAMIC` adds the
-/// currently-faulty guard on `LinkTimeout`/`Wake` (a scripted fault must
-/// silence its victim's pending timers); it is compiled out of static
-/// runs, where an inactive node can never own a timer in the first place.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn handle_one<Q: EvSink, O: RunObserver, const DYNAMIC: bool>(
-    now: Time,
-    payload: Ev,
-    ctx: &RunCtx<'_>,
-    nodes: &mut SoaNodes,
-    obs: &mut O,
-    arrivals: &mut [Vec<Arrival>],
-    q: &mut Q,
-    rng: &mut SimRng,
-) -> Step {
-    let graph = ctx.graph;
-    let cfg = ctx.cfg;
-    match payload {
-        Ev::SourceFire { node } => {
-            if ctx.faulty[node as usize] {
-                return Step::Done; // mute/Byzantine source: outputs are constants
-            }
-            obs.on_fire(node, now, TriggerCause::Source);
-            broadcast::<Q, false>(node, now, ctx, q, rng);
-        }
-        Ev::Deliver { link } => {
-            let l = graph.link(link);
-            let n = l.dst;
-            if !ctx.active[n as usize] {
-                return Step::Done;
-            }
-            if let Some(epoch) = nodes.set_flag(n, l.dst_port) {
-                if cfg.record_arrivals {
-                    arrivals[n as usize].push(Arrival {
-                        at: now,
-                        from: l.src,
-                        port: l.dst_port,
-                    });
-                }
-                let dur = rng.duration_in(cfg.timing.link.lo, cfg.timing.link.hi);
-                q.push(
-                    now + dur,
-                    Ev::LinkTimeout {
-                        node: n,
-                        port: l.dst_port,
-                        epoch,
-                    },
-                );
-                maybe_fire::<Q, O, false>(n, now, ctx, nodes, obs, q, rng);
-            }
-        }
-        Ev::LinkTimeout { node, port, epoch } => {
-            if DYNAMIC && !ctx.active[node as usize] {
-                return Step::Stale; // timer owned by a currently-faulty node
-            }
-            // Epoch bound: a timeout can carry at most the epoch it
-            // was scheduled under, and epochs only move forward — a
-            // popped epoch from the future means timer-cancellation
-            // bookkeeping is corrupt (the dynamic twin of the
-            // hex-lint determinism rules).
-            debug_assert!(
-                epoch <= nodes.flag_epoch(node, port),
-                "LinkTimeout from the future: node {node} port {port} \
-                 carries epoch {epoch} > current {}",
-                nodes.flag_epoch(node, port)
-            );
-            if nodes.expire_flag(node, port, epoch) {
-                refresh_stuck_one(node, port, now, ctx, nodes, q, rng);
-                maybe_fire::<Q, O, false>(node, now, ctx, nodes, obs, q, rng);
-            } else {
-                return Step::Stale;
-            }
-        }
-        Ev::Wake { node, epoch } => {
-            if DYNAMIC && !ctx.active[node as usize] {
-                return Step::Stale; // timer owned by a currently-faulty node
-            }
-            debug_assert!(
-                epoch <= nodes.sleep_epoch(node),
-                "Wake from the future: node {node} carries epoch {epoch} > current {}",
-                nodes.sleep_epoch(node)
-            );
-            if nodes.wake(node, epoch) {
-                // All flags were cleared; stuck-1 ports re-assert.
-                for port in 0..graph.port_count(node) as u8 {
-                    refresh_stuck_one(node, port, now, ctx, nodes, q, rng);
-                }
-                maybe_fire::<Q, O, false>(node, now, ctx, nodes, obs, q, rng);
-            } else {
-                return Step::Stale;
-            }
-        }
-        Ev::Script { index } => return Step::Script(index),
-    }
-    Step::Done
-}
-
-/// The scripted scalar driver: the reference loop of [`run_events`], run
-/// window by window. Popping a [`Ev::Script`] sentinel ends the current
-/// window; the transition is applied (masks, behaviours, SoA state — see
-/// [`apply_transition`]) and the next window rebuilds its [`RunCtx`] with
-/// the updated `all_links_correct` hoist. Returns `(events popped, stale
-/// epoch-rejected events)`.
-#[allow(clippy::too_many_arguments)]
-fn run_events_scripted<Q: FutureEventList<Ev>, O: RunObserver>(
-    q: &mut Q,
-    setup: &mut RunSetup,
-    graph: &PulseGraph,
-    cfg: &SimConfig,
-    schedule: &Schedule,
-    nodes: &mut SoaNodes,
-    active: &mut [bool],
-    faulty: &mut [bool],
-    obs: &mut O,
-    arrivals: &mut [Vec<Arrival>],
-) -> (u64, u64) {
-    let script = cfg.script.as_ref().expect("scripted driver needs a script");
-    let mut stale = 0u64;
-    let mut seeded = false;
-    'windows: loop {
-        let ctx = RunCtx {
-            graph,
-            cfg,
-            behaviors: &setup.behaviors,
-            delays: &setup.delays,
-            active,
-            faulty,
-            all_links_correct: setup.behaviors.iter().all(|&b| b == LinkBehavior::Correct),
-            horizon: setup.horizon,
-        };
-        if !seeded {
-            seed_events(
-                q,
-                &ctx,
-                schedule,
-                &setup.sources,
-                nodes,
-                obs,
-                &mut setup.rng,
-            );
-            seeded = true;
-        }
-        let mut pending: Option<u32> = None;
-        while let Some((now, payload)) = q.pop_next() {
-            if now > ctx.horizon {
-                break 'windows; // beyond-horizon event consumed, like run_events
-            }
-            match handle_one::<Q, O, true>(
-                now,
-                payload,
-                &ctx,
-                nodes,
-                obs,
-                arrivals,
-                q,
-                &mut setup.rng,
-            ) {
-                Step::Done => {}
-                Step::Stale => stale += 1,
-                Step::Script(index) => {
-                    pending = Some(index);
-                    break;
-                }
-            }
-        }
-        match pending {
-            Some(index) => apply_transition(
-                q,
-                script.transitions()[index as usize],
-                graph,
-                cfg,
-                nodes,
-                active,
-                faulty,
-                setup,
-                obs,
-            ),
-            None => break, // queue fully drained
-        }
-    }
-    (q.popped(), stale)
-}
-
-/// Schedule the initial events and drain the queue in bucket batches: the
-/// batched kernel behind [`SimConfig::batch`]. [`FutureEventList::pop_batch`]
-/// drains a span-bounded prefix of the pop sequence into `batch_buf`, and
-/// the events are processed as branch-light same-kind runs against the SoA
-/// node arrays. Byte-identical to [`run_events`] — same processing order,
-/// same RNG stream, same pop counters — because the batch span is
-/// [`SimConfig::min_increment`]: nothing processed inside a batch can
-/// schedule back into it.
-///
-/// The per-event `active`/`faulty` bitmask probes of the scalar loop are
-/// promoted to one whole-run mask test: when no node is faulty, every link
-/// behaves and every delivery targets an active forwarder, the entire drain
-/// runs through a `FAULT_FREE`-monomorphized kernel with no fault or role
-/// checks at all (and the stuck-at-1 refresh compiled out).
-#[allow(clippy::too_many_arguments)]
-fn run_events_batched<Q: FutureEventList<Ev>, O: RunObserver>(
-    q: &mut Q,
-    ctx: &RunCtx<'_>,
-    schedule: &Schedule,
-    sources: &[NodeId],
-    nodes: &mut SoaNodes,
-    obs: &mut O,
-    arrivals: &mut [Vec<Arrival>],
-    rng: &mut SimRng,
-    batch_buf: &mut Vec<(Time, Ev)>,
-) -> (u64, u64) {
-    seed_events(q, ctx, schedule, sources, nodes, obs, rng);
-    let stale = if batch_fault_free(ctx) {
-        drain_batches::<Q, O, true>(q, ctx, ctx.horizon, nodes, obs, arrivals, rng, batch_buf)
-    } else {
-        drain_batches::<Q, O, false>(q, ctx, ctx.horizon, nodes, obs, arrivals, rng, batch_buf)
-    };
-    // The scalar loop pops the first beyond-horizon event before breaking;
-    // mirror it so `popped()` stays byte-identical.
-    if !q.is_empty() {
-        q.pop_next();
-    }
-    (q.popped(), stale)
-}
-
-/// Can the whole drain (or, scripted, the current window) run through the
-/// `FAULT_FREE`-monomorphized kernel? True iff no node is faulty, every
-/// link behaves and every delivery targets an active forwarder.
-fn batch_fault_free(ctx: &RunCtx<'_>) -> bool {
-    let graph = ctx.graph;
-    ctx.all_links_correct
-        && ctx.faulty.iter().all(|&f| !f)
-        && (0..graph.link_count() as u32).all(|l| ctx.active[graph.link(l).dst as usize])
-}
-
-/// The scripted batched driver: drains span-bounded batches **capped one
-/// picosecond short of the next fault transition**, so a whole window runs
-/// through the batch kernel — `FAULT_FREE`-monomorphized whenever the
-/// window is actually fault-free, demoted to the masked kernel only while
-/// a fault is live. At the window boundary the loop replays events one at
-/// a time (identical arm bodies via [`handle_one`]) until the sentinel
-/// pops, applies the transition, and re-hoists the masks for the next
-/// window. Byte-identical to [`run_events_scripted`].
-#[allow(clippy::too_many_arguments)]
-fn run_events_scripted_batched<Q: FutureEventList<Ev>, O: RunObserver>(
-    q: &mut Q,
     setup: &mut RunSetup,
     graph: &PulseGraph,
     cfg: &SimConfig,
@@ -1304,8 +871,7 @@ fn run_events_scripted_batched<Q: FutureEventList<Ev>, O: RunObserver>(
     arrivals: &mut [Vec<Arrival>],
     batch_buf: &mut Vec<(Time, Ev)>,
 ) -> (u64, u64) {
-    let script = cfg.script.as_ref().expect("scripted driver needs a script");
-    let transitions = script.transitions();
+    let transitions = cfg.script.as_ref().map_or(&[][..], |s| s.transitions());
     let mut next_tr = 0usize;
     let mut stale = 0u64;
     let mut seeded = false;
@@ -1333,15 +899,15 @@ fn run_events_scripted_batched<Q: FutureEventList<Ev>, O: RunObserver>(
             seeded = true;
         }
         // Batches must stop strictly before the next transition: the
-        // sentinel (and everything at its timestamp) is replayed through
-        // the scalar boundary loop below, preserving exact pop order.
+        // sentinel (and everything at its timestamp) is handled by the
+        // one-pop boundary loop below, preserving exact pop order.
         let window_ends = next_tr < transitions.len() && transitions[next_tr].at <= ctx.horizon;
         let cap = if window_ends {
             Time::from_ps(transitions[next_tr].at.ps() - 1)
         } else {
             ctx.horizon
         };
-        stale += if batch_fault_free(&ctx) {
+        stale += if fault_free(&ctx) {
             drain_batches::<Q, O, true>(
                 q,
                 &ctx,
@@ -1365,30 +931,22 @@ fn run_events_scripted_batched<Q: FutureEventList<Ev>, O: RunObserver>(
             )
         };
         if !window_ends {
-            // Final window: mirror the scalar loop's single beyond-horizon
-            // pop so `popped()` stays byte-identical.
+            // Final window: the run ends by popping (and dropping) the
+            // first beyond-horizon event, which `popped()` counts.
             if !q.is_empty() {
                 q.pop_next();
             }
             break;
         }
-        // Window boundary: replay same-timestamp events individually until
-        // the sentinel pops (they precede it in `(time, seq)` order).
+        // Window boundary: handle same-timestamp events one pop at a time
+        // until the sentinel pops (they precede it in `(time, seq)` order).
         let mut pending: Option<u32> = None;
         while let Some((now, payload)) = q.pop_next() {
             if now > ctx.horizon {
-                break 'windows; // beyond-horizon event consumed, like the scalar path
+                break 'windows; // beyond-horizon event consumed, as in the final window
             }
-            match handle_one::<Q, O, true>(
-                now,
-                payload,
-                &ctx,
-                nodes,
-                obs,
-                arrivals,
-                q,
-                &mut setup.rng,
-            ) {
+            match handle::<Q, O, false>(now, payload, &ctx, nodes, obs, arrivals, q, &mut setup.rng)
+            {
                 Step::Done => {}
                 Step::Stale => stale += 1,
                 Step::Script(index) => {
@@ -1419,8 +977,18 @@ fn run_events_scripted_batched<Q: FutureEventList<Ev>, O: RunObserver>(
     (q.popped(), stale)
 }
 
-/// The batch-draining loop of [`run_events_batched`], monomorphized over
-/// the fault-free fast path. Returns the stale-event count.
+/// Can the current window run through the `FAULT_FREE`-monomorphized
+/// handler? True iff no node is faulty, every link behaves and every
+/// delivery targets an active forwarder.
+fn fault_free(ctx: &RunCtx<'_>) -> bool {
+    let graph = ctx.graph;
+    ctx.all_links_correct
+        && ctx.faulty.iter().all(|&f| !f)
+        && (0..graph.link_count() as u32).all(|l| ctx.active[graph.link(l).dst as usize])
+}
+
+/// The batch loop of [`run_events`]: drain span-bounded batches up to
+/// `cap` and [`handle`] every event. Returns the stale-event count.
 #[allow(clippy::too_many_arguments)]
 fn drain_batches<Q: FutureEventList<Ev>, O: RunObserver, const FAULT_FREE: bool>(
     q: &mut Q,
@@ -1432,125 +1000,135 @@ fn drain_batches<Q: FutureEventList<Ev>, O: RunObserver, const FAULT_FREE: bool>
     rng: &mut SimRng,
     batch: &mut Vec<(Time, Ev)>,
 ) -> u64 {
-    let graph = ctx.graph;
-    let cfg = ctx.cfg;
-    let record_arrivals = cfg.record_arrivals;
-    let span = cfg.min_increment();
+    let span = ctx.cfg.min_increment();
     let mut stale = 0u64;
     while q.pop_batch(span, cap, batch) > 0 {
-        // Sort-free same-kind grouping: the batch is already in (time, seq)
-        // pop order; split it into maximal consecutive runs of one event
-        // kind and dispatch each run with a single match. Order within and
-        // across runs is untouched, so the replay stays exact.
-        let mut i = 0;
-        while i < batch.len() {
-            let kind = batch[i].1.kind();
-            let mut j = i + 1;
-            while j < batch.len() && batch[j].1.kind() == kind {
-                j += 1;
+        for &(now, ev) in batch.iter() {
+            match handle::<Q, O, FAULT_FREE>(now, ev, ctx, nodes, obs, arrivals, q, rng) {
+                Step::Done => {}
+                Step::Stale => stale += 1,
+                Step::Script(_) => unreachable!("batches stop short of every fault transition"),
             }
-            match kind {
-                0 => {
-                    for &(now, ev) in &batch[i..j] {
-                        let Ev::SourceFire { node } = ev else {
-                            unreachable!()
-                        };
-                        if !FAULT_FREE && ctx.faulty[node as usize] {
-                            continue; // mute/Byzantine source
-                        }
-                        obs.on_fire(node, now, TriggerCause::Source);
-                        broadcast::<Q, FAULT_FREE>(node, now, ctx, q, rng);
-                    }
-                }
-                1 => {
-                    for &(now, ev) in &batch[i..j] {
-                        let Ev::Deliver { link } = ev else {
-                            unreachable!()
-                        };
-                        let l = graph.link(link);
-                        let n = l.dst;
-                        if !FAULT_FREE && !ctx.active[n as usize] {
-                            continue;
-                        }
-                        if let Some(epoch) = nodes.set_flag(n, l.dst_port) {
-                            if record_arrivals {
-                                arrivals[n as usize].push(Arrival {
-                                    at: now,
-                                    from: l.src,
-                                    port: l.dst_port,
-                                });
-                            }
-                            let dur = rng.duration_in(cfg.timing.link.lo, cfg.timing.link.hi);
-                            EvSink::push(
-                                q,
-                                now + dur,
-                                Ev::LinkTimeout {
-                                    node: n,
-                                    port: l.dst_port,
-                                    epoch,
-                                },
-                            );
-                            maybe_fire::<Q, O, FAULT_FREE>(n, now, ctx, nodes, obs, q, rng);
-                        }
-                    }
-                }
-                2 => {
-                    for &(now, ev) in &batch[i..j] {
-                        let Ev::LinkTimeout { node, port, epoch } = ev else {
-                            unreachable!()
-                        };
-                        if !FAULT_FREE && !ctx.active[node as usize] {
-                            stale += 1; // timer owned by a currently-faulty node
-                            continue;
-                        }
-                        debug_assert!(
-                            epoch <= nodes.flag_epoch(node, port),
-                            "LinkTimeout from the future: node {node} port {port} \
-                             carries epoch {epoch} > current {}",
-                            nodes.flag_epoch(node, port)
-                        );
-                        if nodes.expire_flag(node, port, epoch) {
-                            if !FAULT_FREE {
-                                refresh_stuck_one(node, port, now, ctx, nodes, q, rng);
-                            }
-                            maybe_fire::<Q, O, FAULT_FREE>(node, now, ctx, nodes, obs, q, rng);
-                        } else {
-                            stale += 1;
-                        }
-                    }
-                }
-                _ => {
-                    for &(now, ev) in &batch[i..j] {
-                        let Ev::Wake { node, epoch } = ev else {
-                            unreachable!()
-                        };
-                        if !FAULT_FREE && !ctx.active[node as usize] {
-                            stale += 1; // timer owned by a currently-faulty node
-                            continue;
-                        }
-                        debug_assert!(
-                            epoch <= nodes.sleep_epoch(node),
-                            "Wake from the future: node {node} carries epoch {epoch} > current {}",
-                            nodes.sleep_epoch(node)
-                        );
-                        if nodes.wake(node, epoch) {
-                            if !FAULT_FREE {
-                                // All flags were cleared; stuck-1 re-asserts.
-                                for port in 0..graph.port_count(node) as u8 {
-                                    refresh_stuck_one(node, port, now, ctx, nodes, q, rng);
-                                }
-                            }
-                            maybe_fire::<Q, O, FAULT_FREE>(node, now, ctx, nodes, obs, q, rng);
-                        } else {
-                            stale += 1;
-                        }
-                    }
-                }
-            }
-            i = j;
         }
     }
     stale
+}
+
+/// What handling one event did: nothing reportable, a stale
+/// epoch-rejected pop, or a scripted-fault sentinel (ending the window).
+enum Step {
+    Done,
+    Stale,
+    Script(u32),
+}
+
+/// Algorithm 1's event rules, the one copy: a source pulse; a flag set,
+/// which arms a link timeout and then checks whether the node fires; a
+/// timeout expiry; and a wake.
+///
+/// `FAULT_FREE` compiles out every fault check, role check and stuck-at-1
+/// refresh; [`run_events`] selects it only for windows where all of them
+/// are no-ops (see [`fault_free`]). The masked instance also rejects
+/// timers owned by a currently-faulty node: a scripted fault must silence
+/// its victim's pending timers, and in a static run an inactive node never
+/// owns one, so the check changes nothing there.
+///
+/// `#[inline(always)]`: with a plain `#[inline]` hint this is not inlined
+/// into the batch loop, which measurably slows the masked instance.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn handle<Q: FutureEventList<Ev>, O: RunObserver, const FAULT_FREE: bool>(
+    now: Time,
+    payload: Ev,
+    ctx: &RunCtx<'_>,
+    nodes: &mut SoaNodes,
+    obs: &mut O,
+    arrivals: &mut [Vec<Arrival>],
+    q: &mut Q,
+    rng: &mut SimRng,
+) -> Step {
+    let graph = ctx.graph;
+    let cfg = ctx.cfg;
+    match payload {
+        Ev::SourceFire { node } => {
+            if !FAULT_FREE && ctx.faulty[node as usize] {
+                return Step::Done; // mute/Byzantine source: outputs are constants
+            }
+            obs.on_fire(node, now, TriggerCause::Source);
+            broadcast::<Q, FAULT_FREE>(node, now, ctx, q, rng);
+        }
+        Ev::Deliver { link } => {
+            let l = graph.link(link);
+            let n = l.dst;
+            if !FAULT_FREE && !ctx.active[n as usize] {
+                return Step::Done;
+            }
+            if let Some(epoch) = nodes.set_flag(n, l.dst_port) {
+                if cfg.record_arrivals {
+                    arrivals[n as usize].push(Arrival {
+                        at: now,
+                        from: l.src,
+                        port: l.dst_port,
+                    });
+                }
+                let dur = rng.duration_in(cfg.timing.link.lo, cfg.timing.link.hi);
+                q.push(
+                    now + dur,
+                    Ev::LinkTimeout {
+                        node: n,
+                        port: l.dst_port,
+                        epoch,
+                    },
+                );
+                maybe_fire::<Q, O, FAULT_FREE>(n, now, ctx, nodes, obs, q, rng);
+            }
+        }
+        Ev::LinkTimeout { node, port, epoch } => {
+            if !FAULT_FREE && !ctx.active[node as usize] {
+                return Step::Stale; // timer owned by a currently-faulty node
+            }
+            // Epoch bound: a timeout can carry at most the epoch it
+            // was scheduled under, and epochs only move forward — a
+            // popped epoch from the future means timer-cancellation
+            // bookkeeping is corrupt (the dynamic twin of the
+            // hex-lint determinism rules).
+            debug_assert!(
+                epoch <= nodes.flag_epoch(node, port),
+                "LinkTimeout from the future: node {node} port {port} \
+                 carries epoch {epoch} > current {}",
+                nodes.flag_epoch(node, port)
+            );
+            if !nodes.expire_flag(node, port, epoch) {
+                return Step::Stale;
+            }
+            if !FAULT_FREE {
+                refresh_stuck_one(node, port, now, ctx, nodes, q, rng);
+            }
+            maybe_fire::<Q, O, FAULT_FREE>(node, now, ctx, nodes, obs, q, rng);
+        }
+        Ev::Wake { node, epoch } => {
+            if !FAULT_FREE && !ctx.active[node as usize] {
+                return Step::Stale; // timer owned by a currently-faulty node
+            }
+            debug_assert!(
+                epoch <= nodes.sleep_epoch(node),
+                "Wake from the future: node {node} carries epoch {epoch} > current {}",
+                nodes.sleep_epoch(node)
+            );
+            if !nodes.wake(node, epoch) {
+                return Step::Stale;
+            }
+            if !FAULT_FREE {
+                // All flags were cleared; stuck-1 ports re-assert.
+                for port in 0..graph.port_count(node) as u8 {
+                    refresh_stuck_one(node, port, now, ctx, nodes, q, rng);
+                }
+            }
+            maybe_fire::<Q, O, FAULT_FREE>(node, now, ctx, nodes, obs, q, rng);
+        }
+        Ev::Script { index } => return Step::Script(index),
+    }
+    Step::Done
 }
 
 /// Apply one scripted [`FaultTransition`] at its scheduled instant: flip
@@ -1561,11 +1139,9 @@ fn drain_batches<Q: FutureEventList<Ev>, O: RunObserver, const FAULT_FREE: bool>
 /// per-run stream is untouched.
 ///
 /// Every event this pushes lands at `tr.at + positive duration`, i.e. at
-/// or after the last popped timestamp — no past-push, and identical
-/// `(time, seq)` interleaving on the scalar and batched paths (both call
-/// this at the exact same point of the pop sequence).
+/// or after the last popped timestamp — no past-push.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_transition<Q: EvSink, O: RunObserver>(
+fn apply_transition<Q: FutureEventList<Ev>, O: RunObserver>(
     q: &mut Q,
     tr: FaultTransition,
     graph: &PulseGraph,
@@ -1716,7 +1292,7 @@ pub(crate) fn apply_transition<Q: EvSink, O: RunObserver>(
 
 /// If `node` is ready and its guard is satisfied, fire: observe the firing
 /// record, broadcast, sleep. `FAULT_FREE` only forwards to [`broadcast`].
-fn maybe_fire<Q: EvSink, O: RunObserver, const FAULT_FREE: bool>(
+fn maybe_fire<Q: FutureEventList<Ev>, O: RunObserver, const FAULT_FREE: bool>(
     node: NodeId,
     now: Time,
     ctx: &RunCtx<'_>,
@@ -1751,7 +1327,7 @@ fn maybe_fire<Q: EvSink, O: RunObserver, const FAULT_FREE: bool>(
 /// `FAULT_FREE`, where the branch is compiled out) the behaviors lookup is
 /// skipped entirely; the RNG stream is identical on both paths because
 /// every link is sampled either way.
-fn broadcast<Q: EvSink, const FAULT_FREE: bool>(
+fn broadcast<Q: FutureEventList<Ev>, const FAULT_FREE: bool>(
     node: NodeId,
     now: Time,
     ctx: &RunCtx<'_>,
@@ -1774,9 +1350,9 @@ fn broadcast<Q: EvSink, const FAULT_FREE: bool>(
 }
 
 /// A stuck-at-1 in-port re-asserts its memory flag the instant it was
-/// cleared. (The `FAULT_FREE` batched kernel never calls this: fault-free
+/// cleared. (The `FAULT_FREE` handler never calls this: fault-free
 /// implies `all_links_correct`, under which this is a no-op.)
-fn refresh_stuck_one<Q: EvSink>(
+fn refresh_stuck_one<Q: FutureEventList<Ev>>(
     node: NodeId,
     port: u8,
     now: Time,
@@ -2108,21 +1684,22 @@ mod tests {
         }
     }
 
-    /// Every queue policy replays the identical execution: same seed, same
-    /// trace, across fault-free, faulty and corrupted-init regimes.
-    #[test]
-    fn queue_policies_produce_identical_traces() {
+    /// Regimes that each drive a different handler shape: the fault-free
+    /// fast path, faulty masks with stuck-at links and an inert source,
+    /// and corrupted init with tight timing — heavy stale churn and
+    /// pre-loop residuals shorter than the batch span.
+    fn handler_regimes(grid: &HexGrid) -> Vec<(SimConfig, Schedule)> {
         use hex_clock::{PulseTrain, Scenario};
-        let grid = HexGrid::new(8, 6);
         let mut rng = SimRng::seed_from_u64(3);
         let multi =
-            PulseTrain::new(Scenario::Zero, 3, Duration::from_ns(300.0)).generate(6, &mut rng);
-        let configs: Vec<(SimConfig, Schedule)> = vec![
+            PulseTrain::new(Scenario::Zero, 4, Duration::from_ns(300.0)).generate(6, &mut rng);
+        vec![
             (SimConfig::fault_free(), zero_schedule(6)),
             (
                 SimConfig {
                     faults: FaultPlan::none().with_node(grid.node(3, 2), NodeFault::Byzantine),
                     timing: Timing::paper_scenario_iii(),
+                    record_arrivals: true,
                     ..SimConfig::fault_free()
                 },
                 zero_schedule(6),
@@ -2136,16 +1713,155 @@ mod tests {
                 },
                 multi,
             ),
+        ]
+    }
+
+    /// The calendar ring replays the binary heap's event-at-a-time
+    /// reference byte-for-byte — fires, arrivals, popped/stale counters —
+    /// in every handler regime.
+    #[test]
+    fn queue_policies_produce_identical_traces() {
+        let grid = HexGrid::new(8, 6);
+        let mut heap_scratch = SimScratch::new();
+        let mut ring_scratch = SimScratch::new();
+        for (cfg, sched) in &handler_regimes(&grid) {
+            let heap = SimConfig {
+                queue: QueuePolicy::BinaryHeap,
+                ..cfg.clone()
+            };
+            let ring = SimConfig {
+                queue: QueuePolicy::Calendar,
+                ..cfg.clone()
+            };
+            let reference = simulate_into(&mut heap_scratch, grid.graph(), sched, &heap, 77);
+            let trace = simulate_into(&mut ring_scratch, grid.graph(), sched, &ring, 77);
+            assert_eq!(trace, reference, "calendar diverged");
+            assert_eq!(
+                (ring_scratch.popped_events(), ring_scratch.stale_events()),
+                (heap_scratch.popped_events(), heap_scratch.stale_events()),
+                "work counters diverged"
+            );
+        }
+    }
+
+    /// Run an unscripted configuration through the masked handler only
+    /// (`FAULT_FREE = false`), whatever its faults: [`run_events`] with
+    /// the fast-path selection taken out. Returns the trace and the
+    /// `(popped, stale)` counters.
+    fn simulate_masked<Q: FutureEventList<Ev>>(
+        mut q: Q,
+        graph: &PulseGraph,
+        schedule: &Schedule,
+        cfg: &SimConfig,
+        seed: u64,
+    ) -> (Trace, (u64, u64)) {
+        let mut setup = prepare_run(graph, schedule, cfg, seed);
+        let mut scratch = SimScratch::new();
+        scratch.prepare(graph, cfg);
+        let SimScratch {
+            trace,
+            nodes,
+            batch_buf,
+            active,
+            faulty,
+            ..
+        } = &mut scratch;
+        let ctx = RunCtx {
+            graph,
+            cfg,
+            behaviors: &setup.behaviors,
+            delays: &setup.delays,
+            active,
+            faulty,
+            all_links_correct: setup.behaviors.iter().all(|&b| b == LinkBehavior::Correct),
+            horizon: setup.horizon,
+        };
+        assert!(fault_free(&ctx), "the comparison needs a fault-free spec");
+        let mut obs = FireLog {
+            fires: &mut trace.fires,
+        };
+        seed_events(
+            &mut q,
+            &ctx,
+            schedule,
+            &setup.sources,
+            nodes,
+            &mut obs,
+            &mut setup.rng,
+        );
+        let stale = drain_batches::<Q, FireLog<'_>, false>(
+            &mut q,
+            &ctx,
+            ctx.horizon,
+            nodes,
+            &mut obs,
+            &mut trace.arrivals,
+            &mut setup.rng,
+            batch_buf,
+        );
+        if !q.is_empty() {
+            q.pop_next();
+        }
+        let popped = q.popped();
+        trace.faulty = cfg.faults.faulty_nodes();
+        trace.horizon = setup.horizon;
+        (scratch.into_trace(), (popped, stale))
+    }
+
+    /// The `FAULT_FREE` handler drops nothing but dead checks: on
+    /// fault-free specs the masked handler records the identical trace
+    /// and work counters, on both queues.
+    #[test]
+    fn fault_free_fast_path_matches_masked_handler() {
+        use hex_clock::{PulseTrain, Scenario};
+        let grid = HexGrid::new(8, 6);
+        let graph = grid.graph();
+        let mut rng = SimRng::seed_from_u64(5);
+        let multi =
+            PulseTrain::new(Scenario::Zero, 4, Duration::from_ns(300.0)).generate(6, &mut rng);
+        let single = zero_schedule(6);
+        let tight = SimConfig {
+            timing: Timing::paper_scenario_iii(),
+            record_arrivals: true,
+            ..SimConfig::fault_free()
+        };
+        let configs: Vec<(SimConfig, &Schedule)> = vec![
+            (SimConfig::fault_free(), &single),
+            (tight.clone(), &multi),
+            (
+                SimConfig {
+                    init: InitState::Arbitrary,
+                    ..tight.clone()
+                },
+                &multi,
+            ),
+            (
+                SimConfig {
+                    init: InitState::AllFlagsSet,
+                    ..tight.clone()
+                },
+                &multi,
+            ),
+            (
+                SimConfig {
+                    init: InitState::AllAsleep,
+                    ..tight
+                },
+                &multi,
+            ),
         ];
+        let mut scratch = SimScratch::new();
         for (cfg, sched) in &configs {
-            let reference = simulate(grid.graph(), sched, cfg, 77);
-            for policy in [QueuePolicy::QuadHeap, QueuePolicy::Calendar] {
-                let alt = SimConfig {
-                    queue: policy,
-                    ..cfg.clone()
-                };
-                let trace = simulate(grid.graph(), sched, &alt, 77);
-                assert_eq!(trace, reference, "policy {policy:?} diverged");
+            simulate_into(&mut scratch, graph, sched, cfg, 41);
+            let counters = (scratch.popped_events(), scratch.stale_events());
+            let (width, buckets) = calendar_geometry(cfg, graph.node_count());
+            let ring = CalendarQueue::with_geometry(Duration::from_ps(width), buckets);
+            for (trace, masked_counters) in [
+                simulate_masked(EventQueue::new(), graph, sched, cfg, 41),
+                simulate_masked(ring, graph, sched, cfg, 41),
+            ] {
+                assert_eq!(&trace, scratch.trace(), "masked handler diverged");
+                assert_eq!(masked_counters, counters, "masked counters diverged");
             }
         }
     }
@@ -2160,9 +1876,8 @@ mod tests {
         for (i, policy) in [
             QueuePolicy::Calendar,
             QueuePolicy::BinaryHeap,
-            QueuePolicy::QuadHeap,
             QueuePolicy::Calendar,
-            QueuePolicy::QuadHeap,
+            QueuePolicy::BinaryHeap,
         ]
         .into_iter()
         .enumerate()
@@ -2227,8 +1942,7 @@ mod tests {
         }
         assert!(counts[0].1 > 0, "corrupted multi-pulse runs churn timeouts");
         assert!(counts[0].1 < counts[0].0, "stale events are a strict share");
-        assert_eq!(counts[0], counts[1], "quad heap diverged");
-        assert_eq!(counts[0], counts[2], "calendar diverged");
+        assert_eq!(counts[0], counts[1], "calendar diverged");
     }
 
     /// The streaming observer path replays the identical execution: the
@@ -2369,7 +2083,10 @@ mod tests {
         // A policy switch through the same scratch still reports
         // per-run work.
         let alt = SimConfig {
-            queue: QueuePolicy::QuadHeap,
+            queue: match QueuePolicy::default() {
+                QueuePolicy::Calendar => QueuePolicy::BinaryHeap,
+                QueuePolicy::BinaryHeap => QueuePolicy::Calendar,
+            },
             ..SimConfig::fault_free()
         };
         simulate_into(&mut scratch, grid.graph(), &sched, &alt, 1);
@@ -2399,117 +2116,34 @@ mod tests {
         );
     }
 
-    /// The tentpole wall: the bucket-batched SoA kernels replay the scalar
-    /// reference byte-for-byte — fires, arrivals, popped/stale counters —
-    /// across every queue policy and every regime that exercises a
-    /// different kernel shape (fault-free fast path, faulty masks,
-    /// corrupted init with short residual timeouts).
+    /// The streaming observer sees the identical execution on both
+    /// queues, with one dirty scratch alternating between them: reuse
+    /// across policies must be as inert as a fresh allocation.
     #[test]
-    fn batched_kernels_match_scalar_reference() {
-        use hex_clock::{PulseTrain, Scenario};
-        let grid = HexGrid::new(8, 6);
-        let mut rng = SimRng::seed_from_u64(3);
-        let multi =
-            PulseTrain::new(Scenario::Zero, 4, Duration::from_ns(300.0)).generate(6, &mut rng);
-        let configs: Vec<(SimConfig, Schedule)> = vec![
-            // Fault-free clean start: the FAULT_FREE monomorphization.
-            (SimConfig::fault_free(), zero_schedule(6)),
-            // Byzantine node (stuck-at links, inert source): masked path.
-            (
-                SimConfig {
-                    faults: FaultPlan::none().with_node(grid.node(3, 2), NodeFault::Byzantine),
-                    timing: Timing::paper_scenario_iii(),
-                    record_arrivals: true,
-                    ..SimConfig::fault_free()
-                },
-                zero_schedule(6),
-            ),
-            // Corrupted init, tight timing, multi-pulse: heavy stale churn
-            // and pre-loop residuals shorter than the batch span.
-            (
-                SimConfig {
-                    timing: Timing::paper_scenario_iii(),
-                    init: InitState::Arbitrary,
-                    record_arrivals: true,
-                    ..SimConfig::fault_free()
-                },
-                multi,
-            ),
-        ];
-        let mut scalar_scratch = SimScratch::new();
-        let mut batched_scratch = SimScratch::new();
-        for (cfg, sched) in &configs {
-            for policy in QueuePolicy::ALL {
-                let scalar = SimConfig {
-                    queue: policy,
-                    batch: false,
-                    ..cfg.clone()
-                };
-                let batched = SimConfig {
-                    batch: true,
-                    ..scalar.clone()
-                };
-                let s =
-                    simulate_into(&mut scalar_scratch, grid.graph(), sched, &scalar, 77).clone();
-                let counters = (
-                    scalar_scratch.popped_events(),
-                    scalar_scratch.stale_events(),
-                );
-                let b = simulate_into(&mut batched_scratch, grid.graph(), sched, &batched, 77);
-                assert_eq!(b, &s, "batched diverged under {policy:?}");
-                assert_eq!(
-                    (
-                        batched_scratch.popped_events(),
-                        batched_scratch.stale_events()
-                    ),
-                    counters,
-                    "work counters diverged under {policy:?}"
-                );
-            }
-        }
-    }
-
-    /// The streaming observer sees the identical execution from the
-    /// batched kernels, with one dirty scratch alternating between the
-    /// scalar and batched paths (dirty-scratch reuse across dispatch
-    /// strategies must be as inert as across queue policies).
-    #[test]
-    fn batched_observed_path_matches_scalar_with_shared_scratch() {
+    fn observed_path_replays_across_policies_with_shared_scratch() {
         let grid = HexGrid::new(7, 6);
         let sched = zero_schedule(6);
         let d_mid = hex_core::DelayRange::paper().mid();
         let mut scratch = SimScratch::new();
-        for policy in QueuePolicy::ALL {
-            let scalar = SimConfig {
+        let mut runs = Vec::new();
+        for policy in [
+            QueuePolicy::Calendar,
+            QueuePolicy::BinaryHeap,
+            QueuePolicy::Calendar,
+        ] {
+            let cfg = SimConfig {
                 queue: policy,
-                batch: false,
                 timing: Timing::paper_scenario_iii(),
                 init: InitState::AllFlagsSet,
                 ..SimConfig::fault_free()
             };
-            let batched = SimConfig {
-                batch: true,
-                ..scalar.clone()
-            };
-            // Same scratch, alternating strategies: batched first (dirties
-            // the batch buffer), then scalar, then batched again.
-            let b1: Vec<_> =
-                simulate_observed_into(&mut scratch, &grid, &sched, &batched, 9, d_mid)
-                    .slots()
-                    .to_vec();
-            let s: Vec<_> = simulate_observed_into(&mut scratch, &grid, &sched, &scalar, 9, d_mid)
+            let slots = simulate_observed_into(&mut scratch, &grid, &sched, &cfg, 9, d_mid)
                 .slots()
                 .to_vec();
-            let b2: Vec<_> =
-                simulate_observed_into(&mut scratch, &grid, &sched, &batched, 9, d_mid)
-                    .slots()
-                    .to_vec();
-            assert_eq!(b1, s, "batched observer diverged under {policy:?}");
-            assert_eq!(
-                b2, s,
-                "dirty-scratch batched rerun diverged under {policy:?}"
-            );
+            runs.push(slots);
         }
+        assert_eq!(runs[0], runs[1], "binary heap observer diverged");
+        assert_eq!(runs[2], runs[1], "dirty-scratch calendar rerun diverged");
         assert_eq!(scratch.grow_count(), 1);
     }
 
@@ -2536,9 +2170,10 @@ mod tests {
             assert_eq!(policy.label().parse::<QueuePolicy>().unwrap(), policy);
         }
         assert_eq!(
-            "quad".parse::<QueuePolicy>().unwrap(),
-            QueuePolicy::QuadHeap
+            "heap".parse::<QueuePolicy>().unwrap(),
+            QueuePolicy::BinaryHeap
         );
+        assert!("quad_heap".parse::<QueuePolicy>().is_err());
         assert!("fibonacci".parse::<QueuePolicy>().is_err());
     }
 
@@ -2591,13 +2226,13 @@ mod tests {
         }
     }
 
-    /// Scripted campaigns replay byte-identically across every queue
-    /// policy and between the scalar and bucket-batched drivers, with a
-    /// dirty scratch shared across all legs. The script mixes every
+    /// Scripted campaigns replay byte-identically on the calendar ring and
+    /// the binary heap's event-at-a-time reference, trace and counters,
+    /// with a dirty scratch shared across both. The script mixes every
     /// transition kind: a Byzantine burst with an adversarial rejoin, a
     /// crash + clean rejoin overlapping it, and a link flap.
     #[test]
-    fn scripted_runs_replay_identically_across_policies_and_dispatch() {
+    fn scripted_runs_replay_identically_across_policies() {
         use hex_clock::{PulseTrain, Scenario};
         let grid = HexGrid::new(6, 6);
         let mut rng = SimRng::seed_from_u64(71);
@@ -2631,26 +2266,32 @@ mod tests {
             script: Some(script),
             ..SimConfig::fault_free()
         };
-        let reference = simulate(grid.graph(), &sched, &base, 77);
         let mut scratch = SimScratch::new();
-        for policy in QueuePolicy::ALL {
-            for batch in [false, true] {
-                let cfg = SimConfig {
-                    queue: policy,
-                    batch,
-                    ..base.clone()
-                };
-                let t = simulate_into(&mut scratch, grid.graph(), &sched, &cfg, 77);
-                assert_eq!(t, &reference, "{policy:?} batch={batch} diverged");
-            }
+        let heap = SimConfig {
+            queue: QueuePolicy::BinaryHeap,
+            ..base.clone()
+        };
+        let reference = simulate_into(&mut scratch, grid.graph(), &sched, &heap, 77).clone();
+        let counters = (scratch.popped_events(), scratch.stale_events());
+        for policy in [QueuePolicy::Calendar, QueuePolicy::BinaryHeap] {
+            let cfg = SimConfig {
+                queue: policy,
+                ..base.clone()
+            };
+            let t = simulate_into(&mut scratch, grid.graph(), &sched, &cfg, 77);
+            assert_eq!(t, &reference, "{policy:?} diverged");
+            assert_eq!(
+                (scratch.popped_events(), scratch.stale_events()),
+                counters,
+                "{policy:?} work counters diverged"
+            );
         }
     }
 
     /// Metamorphic: a script whose whole disturbance heals cleanly before
     /// the wavefront reaches the victim leaves no observable trace — the
-    /// run is byte-identical to the unscripted one on both dispatch
-    /// paths (the script machinery draws only from its own salted RNG
-    /// stream).
+    /// run is byte-identical to the unscripted one on both queues (the
+    /// script machinery draws only from its own salted RNG stream).
     #[test]
     fn script_healed_before_the_wave_is_invisible() {
         let grid = HexGrid::new(5, 6);
@@ -2662,9 +2303,9 @@ mod tests {
         assert!(heal < Time::ZERO + D_MINUS.times(4));
         let script =
             FaultScript::crash_rejoin(victim, Time::from_ps(1_000), heal, RejoinState::Clean);
-        for batch in [false, true] {
+        for policy in QueuePolicy::ALL {
             let plain = SimConfig {
-                batch,
+                queue: policy,
                 ..SimConfig::fault_free()
             };
             let scripted = SimConfig {
@@ -2673,7 +2314,7 @@ mod tests {
             };
             let a = simulate(grid.graph(), &sched, &plain, 83);
             let b = simulate(grid.graph(), &sched, &scripted, 83);
-            assert_eq!(a, b, "healed-in-place script left a trace (batch={batch})");
+            assert_eq!(a, b, "healed-in-place script left a trace ({policy:?})");
         }
     }
 

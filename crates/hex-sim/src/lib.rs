@@ -7,7 +7,10 @@
 //! * [`engine::simulate`] — run one configuration: delay control (random or
 //!   deterministic per link), fault injection (Byzantine / fail-silent nodes
 //!   and stuck-at links), arbitrary initial states for self-stabilization
-//!   experiments, and multi-pulse layer-0 schedules;
+//!   experiments, multi-pulse layer-0 schedules and scripted mid-run fault
+//!   timelines. Every run goes through one driver and one copy of
+//!   Algorithm 1's event rules, on the calendar ring by default or on the
+//!   binary heap's event-at-a-time reference ([`engine::QueuePolicy`]);
 //! * [`engine::SimScratch`] / [`engine::simulate_into`] — the reusable
 //!   per-worker arena behind the batch paths: event queue, node states,
 //!   trace and view buffers are recycled across runs, byte-identically to
@@ -29,10 +32,6 @@
 //!   scope` workers, work stealing, deterministic per-run seeding) for the
 //!   250-run experiment suites, with a streaming [`batch::run_batch_fold`]
 //!   map+reduce path that never materializes a whole batch;
-//! * [`shard`] — intra-run parallelism: one simulation split into
-//!   lockstep column tiles ([`SimConfig::shards`](engine::SimConfig) /
-//!   `HEX_SHARDS`), exchanging boundary events at conservative time-window
-//!   barriers, byte-identical to the serial engine;
 //! * [`vcd`] — waveform export: render any trace as an IEEE-1364 VCD
 //!   document for GTKWave-style inspection (the ModelSim-waveform
 //!   equivalent of this reproduction).
@@ -46,7 +45,6 @@ pub mod engine;
 pub mod invariants;
 pub mod knobs;
 pub mod observe;
-pub mod shard;
 pub mod soa;
 pub mod spec;
 pub mod trace;

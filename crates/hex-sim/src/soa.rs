@@ -2,8 +2,8 @@
 //!
 //! [`SoaNodes`] carries the same dynamic state as one [`NodeState`] per node
 //! — firing machine, per-port memory flags, and the epoch counters that
-//! cancel stale timers — but split into parallel vectors so batch kernels
-//! touch dense arrays instead of chasing one heap allocation per node:
+//! cancel stale timers — but split into parallel vectors so the event
+//! handler touches dense arrays instead of chasing one heap allocation per node:
 //!
 //! * `sleeping[n]` / `sleep_epochs[n]` — the firing state machine,
 //! * `flags[..]` / `flag_epochs[..]` — all ports of all nodes flattened into
@@ -13,7 +13,7 @@
 //!
 //! Every transition method mirrors the corresponding [`NodeState`] method
 //! *exactly* — same epoch bumps, same return values, same panics — so the
-//! scalar and batched engine paths stay byte-identical. The parity proptest
+//! engine keeps the reference automaton's semantics. The parity proptest
 //! at the bottom drives both representations through identical random
 //! operation sequences and compares every observable after every step.
 //! `fire_count` is intentionally not replicated: the engine never reads it
@@ -243,33 +243,6 @@ impl SoaNodes {
             },
             flag_epochs,
         }
-    }
-
-    /// Make `self` state-identical to `other`, reusing the existing
-    /// allocations (`Vec::clone_from` per column). The sharded engine
-    /// scatters the master state into every tile copy with this after a
-    /// script instant.
-    pub fn copy_from(&mut self, other: &SoaNodes) {
-        self.sleeping.clone_from(&other.sleeping);
-        self.sleep_epochs.clone_from(&other.sleep_epochs);
-        self.port_base.clone_from(&other.port_base);
-        self.flags.clone_from(&other.flags);
-        self.flag_epochs.clone_from(&other.flag_epochs);
-    }
-
-    /// Copy the full state of one node — firing machine plus every port
-    /// flag and epoch — from a same-shape `other`. The sharded engine
-    /// gathers tile-owned nodes back into the master state with this
-    /// before serially applying a script instant.
-    pub(crate) fn copy_node_from(&mut self, other: &SoaNodes, node: NodeId) {
-        let n = node as usize;
-        debug_assert_eq!(self.port_base, other.port_base, "shape mismatch");
-        self.sleeping[n] = other.sleeping[n];
-        self.sleep_epochs[n] = other.sleep_epochs[n];
-        let lo = self.port_base[n] as usize;
-        let hi = self.port_base[n + 1] as usize;
-        self.flags[lo..hi].copy_from_slice(&other.flags[lo..hi]);
-        self.flag_epochs[lo..hi].copy_from_slice(&other.flag_epochs[lo..hi]);
     }
 
     /// Compare every observable of `node` against a [`NodeState`] reference.

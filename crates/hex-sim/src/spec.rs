@@ -296,10 +296,6 @@ pub struct RunSpec {
     /// Future-event-list implementation (byte-identical output across
     /// policies; a pure performance knob).
     pub queue: QueuePolicy,
-    /// Tile shards per run (1 = serial engine; byte-identical output at
-    /// any count; a pure performance knob, like `threads` not part of
-    /// the canonical encoding). Defaults to the `HEX_SHARDS` knob.
-    pub shards: usize,
     /// Explicit layer-0 schedule override (adversarial constructions);
     /// `None` derives the schedule from `scenario`/`pulses` per run.
     pub schedule: Option<Schedule>,
@@ -323,7 +319,6 @@ impl RunSpec {
             timing: TimingPolicy::Table3,
             delays: DelayModel::paper(),
             queue: QueuePolicy::default(),
-            shards: crate::engine::shard_default(),
             schedule: None,
         }
     }
@@ -357,7 +352,7 @@ impl RunSpec {
         if let Some(v) = knobs::parsed("HEX_THREADS", "a number") {
             self.threads = v;
         }
-        if let Some(v) = knobs::parsed("HEX_QUEUE", "binary_heap, quad_heap or calendar") {
+        if let Some(v) = knobs::parsed("HEX_QUEUE", "binary_heap or calendar") {
             self.queue = v;
         }
         self
@@ -422,14 +417,6 @@ impl RunSpec {
     /// byte-identical output across policies).
     pub fn queue(mut self, queue: QueuePolicy) -> Self {
         self.queue = queue;
-        self
-    }
-
-    /// Set the intra-run tile-shard count (the `HEX_SHARDS` knob; 1 =
-    /// the serial engine; byte-identical output at any count).
-    pub fn shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "shard count must be 1 or more");
-        self.shards = shards;
         self
     }
 
@@ -512,12 +499,6 @@ impl RunSpec {
             horizon: None,
             record_arrivals: false,
             queue: self.queue,
-            // Like `threads`, the dispatch strategy is not part of the
-            // spec vocabulary (and not canonically encoded): batched and
-            // scalar kernels are byte-identical, so the process-wide
-            // `HEX_BATCH` default applies.
-            batch: crate::engine::batch_default(),
-            shards: self.shards,
         };
         RunInputs {
             seed,
@@ -1036,14 +1017,13 @@ mod tests {
             }
         }
 
-        /// The observed-fold wall for the batched kernels: for randomized
+        /// The observed-fold wall for the queue policies: for randomized
         /// specs, every run's streamed [`PulseBinner`] — the exact state
-        /// [`RunSpec::fold_observed`] reduces — is identical whether the
-        /// engine dispatches one event at a time or in bucket batches,
-        /// across all three queue policies, each side on its own dirty
-        /// reused scratch.
+        /// [`RunSpec::fold_observed`] reduces — is identical on the
+        /// calendar ring and on the binary heap's event-at-a-time
+        /// reference, each side on its own dirty reused scratch.
         #[test]
-        fn prop_batched_observed_runs_equal_scalar(
+        fn prop_observed_runs_equal_across_policies(
             length in 4u32..8,
             width in 6u32..9,
             regime in 0usize..4,
@@ -1071,35 +1051,32 @@ mod tests {
                 .pulses(pulses);
             let grid = spec.hex_grid();
             let d_mid = spec.delays.envelope().mid();
-            let mut scalar_scratch = SimScratch::new();
-            let mut batched_scratch = SimScratch::new();
+            let mut heap_scratch = SimScratch::new();
+            let mut ring_scratch = SimScratch::new();
             for run in 0..spec.runs {
                 let inputs = spec.materialize(run);
-                for policy in QueuePolicy::ALL {
-                    let scalar_cfg = SimConfig {
-                        queue: policy,
-                        batch: false,
-                        ..inputs.config.clone()
-                    };
-                    let batched_cfg = SimConfig {
-                        batch: true,
-                        ..scalar_cfg.clone()
-                    };
-                    let s = simulate_observed_into(
-                        &mut scalar_scratch, &grid, &inputs.schedule,
-                        &scalar_cfg, inputs.seed, d_mid,
-                    );
-                    let (slots, spurious) = (s.slots().to_vec(), s.spurious());
-                    let b = simulate_observed_into(
-                        &mut batched_scratch, &grid, &inputs.schedule,
-                        &batched_cfg, inputs.seed, d_mid,
-                    );
-                    prop_assert_eq!(
-                        b.slots(), &slots[..],
-                        "run {} under {:?}: batched binner diverged", run, policy
-                    );
-                    prop_assert_eq!(b.spurious(), spurious);
-                }
+                let heap_cfg = SimConfig {
+                    queue: QueuePolicy::BinaryHeap,
+                    ..inputs.config.clone()
+                };
+                let ring_cfg = SimConfig {
+                    queue: QueuePolicy::Calendar,
+                    ..inputs.config.clone()
+                };
+                let h = simulate_observed_into(
+                    &mut heap_scratch, &grid, &inputs.schedule,
+                    &heap_cfg, inputs.seed, d_mid,
+                );
+                let (slots, spurious) = (h.slots().to_vec(), h.spurious());
+                let r = simulate_observed_into(
+                    &mut ring_scratch, &grid, &inputs.schedule,
+                    &ring_cfg, inputs.seed, d_mid,
+                );
+                prop_assert_eq!(
+                    r.slots(), &slots[..],
+                    "run {}: calendar binner diverged", run
+                );
+                prop_assert_eq!(r.spurious(), spurious);
             }
         }
     }

@@ -1,18 +1,18 @@
 //! The dynamic twin of the `hex-lint` static rules: `debug_assert!`
-//! invariants wired into the engine and all three event-queue
+//! invariants wired into the engine and both event-queue
 //! implementations must hold across every queue policy.
 //!
 //! Tests compile with `debug_assertions` on, so simply *driving* the
 //! engine through demanding regimes (Byzantine, mixed, arbitrary
 //! initial states, multi-pulse, scratch reuse) exercises:
 //!
-//! * pop-time monotonicity in `EventQueue` / `QuadHeapQueue` /
-//!   `CalendarQueue` (`pop` never hands back an instant behind `now`);
+//! * pop-time monotonicity in `EventQueue` / `CalendarQueue` (`pop`
+//!   never hands back an instant behind `now`);
 //! * the engine's epoch bounds (no `LinkTimeout`/`Wake` ever pops with
 //!   an epoch newer than its target's counter).
 //!
 //! The cross-policy equality assertions double as the reason the
-//! invariants *can* be this strict: all three queues are pinned to one
+//! invariants *can* be this strict: both queues are pinned to one
 //! observable behavior.
 
 use hex_sim::engine::SimScratch;
@@ -64,7 +64,7 @@ fn invariants_hold_across_all_queue_policies() {
 }
 
 /// Scratch reuse across policy switches keeps the invariants intact:
-/// one dirty arena is driven through all three queues in turn.
+/// one dirty arena is driven through both queues in turn.
 #[test]
 fn invariants_hold_through_dirty_scratch_policy_switches() {
     let mut scratch = SimScratch::new();
@@ -78,7 +78,7 @@ fn invariants_hold_through_dirty_scratch_policy_switches() {
                 outputs.push((policy, run, view));
             }
         }
-        // Per-run outputs agree pairwise across the three policies.
+        // Per-run outputs agree pairwise across the policies.
         let per_policy = outputs.len() / QueuePolicy::ALL.len();
         for k in 0..per_policy {
             let (_, _, ref a) = outputs[k];

@@ -22,7 +22,7 @@
 //! separation) under [`FaultRegime::Script`] and reports per-disturbance
 //! re-stabilization through the streaming observed fold: the
 //! `campaign_summary` table JSON goes to stdout (byte-identical across
-//! queue policies and dispatch modes) and a human summary to stderr; it
+//! queue policies) and a human summary to stderr; it
 //! also honors `HEX_RUNS`/`HEX_SEED`/`HEX_THREADS`/`HEX_QUEUE` like the
 //! figure drivers. `query` sends the flag-built spec to a `hexd`
 //! daemon instead of computing locally: the result JSON goes to stdout and

@@ -117,7 +117,7 @@ pub mod prelude {
         LinkBehavior, NodeFault, RejoinState, Timing, D_MINUS, D_PLUS, EPSILON,
     };
     pub use hex_des::{
-        CalendarQueue, Duration, EventQueue, FutureEventList, QuadHeapQueue, Schedule, SimRng, Time,
+        CalendarQueue, Duration, EventQueue, FutureEventList, Schedule, SimRng, Time,
     };
     pub use hex_sim::{
         assign_pulses, run_batch, run_batch_fold, run_batch_fold_with, run_batch_with, simulate,

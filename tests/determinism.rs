@@ -103,53 +103,12 @@ fn same_seed_traces_serialize_byte_identical() {
     assert_ne!(doc_a.as_bytes(), doc_c.as_bytes());
 }
 
-/// Batched-kernel wall: the bucket-batched SoA dispatch (`SimConfig::
-/// batch`) serializes byte-identically to the scalar reference through the
-/// VCD exporter, for every queue policy, in a regime that exercises faults,
-/// corrupted init and recorded arrivals at once.
-#[test]
-fn batched_and_scalar_serialize_byte_identical() {
-    use hexclock::sim::{vcd_document, VcdOptions};
-
-    let grid = HexGrid::new(12, 8);
-    let mut rng = SimRng::seed_from_u64(21);
-    let sched = PulseTrain::new(Scenario::Zero, 3, Duration::from_ns(300.0)).generate(8, &mut rng);
-    let base = SimConfig {
-        faults: FaultPlan::none().with_node(grid.node(4, 2), NodeFault::Byzantine),
-        timing: Timing::paper_scenario_iii(),
-        init: InitState::Arbitrary,
-        record_arrivals: true,
-        ..SimConfig::fault_free()
-    };
-    for policy in QueuePolicy::ALL {
-        let scalar_cfg = SimConfig {
-            queue: policy,
-            batch: false,
-            ..base.clone()
-        };
-        let batched_cfg = SimConfig {
-            batch: true,
-            ..scalar_cfg.clone()
-        };
-        let scalar = simulate(grid.graph(), &sched, &scalar_cfg, 404);
-        let batched = simulate(grid.graph(), &sched, &batched_cfg, 404);
-        let doc_scalar = vcd_document(&grid, &scalar, &VcdOptions::default());
-        let doc_batched = vcd_document(&grid, &batched, &VcdOptions::default());
-        assert!(!doc_scalar.is_empty());
-        assert_eq!(
-            doc_scalar.as_bytes(),
-            doc_batched.as_bytes(),
-            "{policy:?}: batched dispatch diverged from the scalar reference"
-        );
-    }
-}
-
 /// Dynamic-regime wall: a run under a live [`FaultScript`] — Byzantine
 /// burst, crash-rejoin and a link flap overlapping a multi-pulse train —
-/// serializes byte-identically across every queue policy and both
-/// dispatch strategies, through a dirty reused scratch. Scripted fault
-/// windows are simulation *content*; the event list and the batched
-/// kernels must stay pure performance knobs around them.
+/// serializes byte-identically on the calendar ring, through a dirty
+/// reused scratch, to the binary heap's event-at-a-time reference run on
+/// fresh allocations. Scripted fault windows are simulation *content*;
+/// the event list must stay a pure performance knob around them.
 #[test]
 fn scripted_runs_serialize_byte_identical_across_policies_and_dispatch() {
     use hexclock::sim::{vcd_document, VcdOptions};
@@ -185,7 +144,11 @@ fn scripted_runs_serialize_byte_identical_across_policies_and_dispatch() {
         ..SimConfig::fault_free()
     };
 
-    let fresh = simulate(grid.graph(), &sched, &base, 606);
+    let reference = SimConfig {
+        queue: QueuePolicy::BinaryHeap,
+        ..base.clone()
+    };
+    let fresh = simulate(grid.graph(), &sched, &reference, 606);
     let doc_fresh = vcd_document(&grid, &fresh, &VcdOptions::default());
     assert!(!doc_fresh.is_empty());
 
@@ -207,24 +170,18 @@ fn scripted_runs_serialize_byte_identical_across_policies_and_dispatch() {
     );
 
     for policy in QueuePolicy::ALL {
-        for batch in [false, true] {
-            let cfg = SimConfig {
-                queue: policy,
-                batch,
-                ..base.clone()
-            };
-            let reused = simulate_into(&mut scratch, grid.graph(), &sched, &cfg, 606);
-            assert_eq!(
-                &fresh, reused,
-                "{policy:?}/batch={batch}: scripted trace diverged"
-            );
-            let doc_reused = vcd_document(&grid, reused, &VcdOptions::default());
-            assert_eq!(
-                doc_fresh.as_bytes(),
-                doc_reused.as_bytes(),
-                "{policy:?}/batch={batch}: scripted serialization diverged"
-            );
-        }
+        let cfg = SimConfig {
+            queue: policy,
+            ..base.clone()
+        };
+        let reused = simulate_into(&mut scratch, grid.graph(), &sched, &cfg, 606);
+        assert_eq!(&fresh, reused, "{policy:?}: scripted trace diverged");
+        let doc_reused = vcd_document(&grid, reused, &VcdOptions::default());
+        assert_eq!(
+            doc_fresh.as_bytes(),
+            doc_reused.as_bytes(),
+            "{policy:?}: scripted serialization diverged"
+        );
     }
 }
 
@@ -259,7 +216,8 @@ fn script_healed_before_the_wave_matches_fault_free_exactly() {
 
 /// Scratch-reuse wall: `simulate_into` on a **dirty, reused** `SimScratch`
 /// must be byte-identical (VCD serialization) to fresh `simulate`, across
-/// the fault-free, Byzantine, and Mixed regimes and across init states.
+/// the fault-free, Byzantine, and Mixed regimes and across init states,
+/// with the binary heap's event-at-a-time run as the fresh reference.
 /// The scratch is deliberately polluted by a run of a *different* grid
 /// shape, fault plan and seed before every comparison, and carried from
 /// one regime to the next.
@@ -303,6 +261,17 @@ fn dirty_scratch_runs_serialize_byte_identical_to_fresh() {
             &sched,
         ),
         (
+            "byzantine-arbitrary",
+            SimConfig {
+                faults: FaultPlan::none().with_node(grid.node(4, 2), NodeFault::Byzantine),
+                timing: Timing::paper_scenario_iii(),
+                init: InitState::Arbitrary,
+                record_arrivals: true,
+                ..SimConfig::fault_free()
+            },
+            &multi,
+        ),
+        (
             "mixed",
             SimConfig {
                 faults: mixed,
@@ -336,35 +305,36 @@ fn dirty_scratch_runs_serialize_byte_identical_to_fresh() {
 
     for (name, cfg, schedule) in &regimes {
         for seed in [7u64, 8] {
-            // The reference execution: fresh allocations, default queue.
-            let fresh = simulate(grid.graph(), schedule, cfg, seed);
+            // The reference execution: fresh allocations, one event at a
+            // time on the binary heap.
+            let reference = SimConfig {
+                queue: QueuePolicy::BinaryHeap,
+                ..cfg.clone()
+            };
+            let fresh = simulate(grid.graph(), schedule, &reference, seed);
             let doc_fresh = vcd_document(&grid, &fresh, &VcdOptions::default());
             assert!(!doc_fresh.is_empty());
-            // Every queue policy and both dispatch strategies, run through
-            // the same carried-over dirty scratch, must serialize
-            // byte-identically to that reference: the event list and the
-            // batched kernels are pure performance knobs.
+            // Both queue policies, run through the same carried-over dirty
+            // scratch, must serialize byte-identically to that reference:
+            // the event list is a pure performance knob.
             for policy in QueuePolicy::ALL {
-                for batch in [false, true] {
-                    let cfg = SimConfig {
-                        queue: policy,
-                        batch,
-                        ..cfg.clone()
-                    };
-                    let reused = simulate_into(&mut scratch, grid.graph(), schedule, &cfg, seed);
-                    assert_eq!(
-                        &fresh, reused,
-                        "{name}/seed {seed}/{policy:?}/batch={batch}: \
-                         trace structs diverged under scratch reuse"
-                    );
-                    let doc_reused = vcd_document(&grid, reused, &VcdOptions::default());
-                    assert_eq!(
-                        doc_fresh.as_bytes(),
-                        doc_reused.as_bytes(),
-                        "{name}/seed {seed}/{policy:?}/batch={batch}: \
-                         serialized traces diverged under scratch reuse"
-                    );
-                }
+                let cfg = SimConfig {
+                    queue: policy,
+                    ..cfg.clone()
+                };
+                let reused = simulate_into(&mut scratch, grid.graph(), schedule, &cfg, seed);
+                assert_eq!(
+                    &fresh, reused,
+                    "{name}/seed {seed}/{policy:?}: \
+                     trace structs diverged under scratch reuse"
+                );
+                let doc_reused = vcd_document(&grid, reused, &VcdOptions::default());
+                assert_eq!(
+                    doc_fresh.as_bytes(),
+                    doc_reused.as_bytes(),
+                    "{name}/seed {seed}/{policy:?}: \
+                     serialized traces diverged under scratch reuse"
+                );
             }
         }
     }

@@ -115,7 +115,7 @@ fn spec_from(
         .pulses(pulses)
         .timing(timing)
         .delays(delays)
-        .queue(QueuePolicy::ALL[queue_ix % 3])
+        .queue(QueuePolicy::ALL[queue_ix])
 }
 
 proptest! {
@@ -127,7 +127,7 @@ proptest! {
     fn canonical_encoding_round_trips(
         (length, width, runs, seed) in (2u32..40, 3u32..16, 1usize..8, any::<u64>()),
         (scenario_ix, fault_ix, init_ix) in (0usize..4, 0usize..12, 0usize..4),
-        (pulses, timing_ix, delay_ix, queue_ix) in (1usize..4, 0usize..3, 0usize..10, 0usize..3),
+        (pulses, timing_ix, delay_ix, queue_ix) in (1usize..4, 0usize..3, 0usize..10, 0usize..2),
     ) {
         let spec = spec_from(
             length, width, runs, seed, scenario_ix, fault_ix, init_ix, pulses,
