@@ -907,7 +907,7 @@ fn run_events<Q: FutureEventList<Ev>, O: RunObserver>(
         } else {
             ctx.horizon
         };
-        stale += if fault_free(&ctx) {
+        stale += if window_is_fault_free(&ctx) {
             drain_batches::<Q, O, true>(
                 q,
                 &ctx,
@@ -980,7 +980,7 @@ fn run_events<Q: FutureEventList<Ev>, O: RunObserver>(
 /// Can the current window run through the `FAULT_FREE`-monomorphized
 /// handler? True iff no node is faulty, every link behaves and every
 /// delivery targets an active forwarder.
-fn fault_free(ctx: &RunCtx<'_>) -> bool {
+fn window_is_fault_free(ctx: &RunCtx<'_>) -> bool {
     let graph = ctx.graph;
     ctx.all_links_correct
         && ctx.faulty.iter().all(|&f| !f)
@@ -1028,10 +1028,10 @@ enum Step {
 ///
 /// `FAULT_FREE` compiles out every fault check, role check and stuck-at-1
 /// refresh; [`run_events`] selects it only for windows where all of them
-/// are no-ops (see [`fault_free`]). The masked instance also rejects
-/// timers owned by a currently-faulty node: a scripted fault must silence
-/// its victim's pending timers, and in a static run an inactive node never
-/// owns one, so the check changes nothing there.
+/// are no-ops (see [`window_is_fault_free`]). The masked instance also
+/// rejects timers owned by a currently-faulty node: a scripted fault must
+/// silence its victim's pending timers, and in a static run an inactive
+/// node never owns one, so the check changes nothing there.
 ///
 /// `#[inline(always)]`: with a plain `#[inline]` hint this is not inlined
 /// into the batch loop, which measurably slows the masked instance.
@@ -1776,7 +1776,10 @@ mod tests {
             all_links_correct: setup.behaviors.iter().all(|&b| b == LinkBehavior::Correct),
             horizon: setup.horizon,
         };
-        assert!(fault_free(&ctx), "the comparison needs a fault-free spec");
+        assert!(
+            window_is_fault_free(&ctx),
+            "the comparison needs a fault-free spec"
+        );
         let mut obs = FireLog {
             fires: &mut trace.fires,
         };
